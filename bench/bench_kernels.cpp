@@ -60,6 +60,13 @@ const shape k_shapes[] = {
     {"vit.head dim64 batch 50", 50, 64, 10},
     {"bit.block 192->192 @16x16", 192, 1728, 256},
     {"bit.block 256->256 @16x16", 256, 2304, 256},
+    // ViT-B/16-sim's own GEMMs (dim 32, 4 heads, 17 tokens). Report-only:
+    // far below the two largest shapes, so they never reach the gates.
+    {"vit.token_linear batch 32", 544, 32, 32},
+    {"vit.token_linear batch 1", 17, 32, 32},
+    {"vit.fc1 batch 32", 544, 32, 64},
+    {"vit.attn scores bmm per head", 17, 8, 17},
+    {"vit.attn values bmm per head", 17, 17, 8},
 };
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -316,6 +323,7 @@ int main() {
     for (const result& r : results) {
       gemm.push(pelta::bench::json::object()
                     .field("name", r.s.name)
+                    .field("gated", &r == by_flops[0] || &r == by_flops[1])
                     .field("m", r.s.m)
                     .field("k", r.s.k)
                     .field("n", r.s.n)

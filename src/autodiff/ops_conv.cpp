@@ -83,49 +83,50 @@ public:
     PELTA_CHECK(in.size() == 1);
     const tensor& x = *in[0];
     PELTA_CHECK_MSG(x.ndim() == 4, "patchify input " << to_string(x.shape()));
-    const std::int64_t b = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
+    const std::int64_t h = x.size(2), w = x.size(3);
     PELTA_CHECK_MSG(h % ps_ == 0 && w % ps_ == 0,
                     "patch size " << ps_ << " does not divide " << to_string(x.shape()));
-    const std::int64_t ph = h / ps_, pw = w / ps_;
-    const std::int64_t t = ph * pw, p = c * ps_ * ps_;
-    tensor out{shape_t{b, t, p}};
-    for (std::int64_t n = 0; n < b; ++n)
-      for (std::int64_t py = 0; py < ph; ++py)
-        for (std::int64_t px = 0; px < pw; ++px) {
-          const std::int64_t ti = py * pw + px;
-          for (std::int64_t ci = 0; ci < c; ++ci)
-            for (std::int64_t dy = 0; dy < ps_; ++dy)
-              for (std::int64_t dx = 0; dx < ps_; ++dx)
-                out.at(n, ti, (ci * ps_ + dy) * ps_ + dx) =
-                    x.at(n, ci, py * ps_ + dy, px * ps_ + dx);
-        }
+    const std::int64_t t = (h / ps_) * (w / ps_), p = x.size(1) * ps_ * ps_;
+    tensor out{shape_t{x.size(0), t, p}};
+    const float* px = x.data().data();
+    float* po = out.data().data();
+    walk(x.shape(), [px, po](std::int64_t img, std::int64_t patch) { po[patch] = px[img]; });
     return out;
   }
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
                                const tensor&) const override {
-    const tensor& x = *in[0];
-    const std::int64_t b = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-    const std::int64_t ph = h / ps_, pw = w / ps_;
-    tensor gx{x.shape()};
-    for (std::int64_t n = 0; n < b; ++n)
-      for (std::int64_t py = 0; py < ph; ++py)
-        for (std::int64_t px = 0; px < pw; ++px) {
-          const std::int64_t ti = py * pw + px;
-          for (std::int64_t ci = 0; ci < c; ++ci)
-            for (std::int64_t dy = 0; dy < ps_; ++dy)
-              for (std::int64_t dx = 0; dx < ps_; ++dx)
-                gx.at(n, ci, py * ps_ + dy, px * ps_ + dx) =
-                    g.at(n, ti, (ci * ps_ + dy) * ps_ + dx);
-        }
+    tensor gx{in[0]->shape()};
+    PELTA_CHECK(g.numel() == gx.numel());
+    const float* pg = g.data().data();
+    float* pgx = gx.data().data();
+    walk(gx.shape(), [pg, pgx](std::int64_t img, std::int64_t patch) { pgx[img] = pg[patch]; });
     return {std::move(gx)};
   }
 
 private:
+  // Calls f(image_offset, patch_offset) for every element of an NCHW image
+  // batch of shape `s` and its [B, T, C*ps*ps] patch row, in patch-row order.
+  template <class F>
+  void walk(const shape_t& s, const F& f) const {
+    const std::int64_t b = s[0], c = s[1], h = s[2], w = s[3];
+    const std::int64_t ph = h / ps_, pw = w / ps_;
+    std::int64_t patch = 0;
+    for (std::int64_t n = 0; n < b; ++n)
+      for (std::int64_t py = 0; py < ph; ++py)
+        for (std::int64_t px = 0; px < pw; ++px)
+          for (std::int64_t ci = 0; ci < c; ++ci)
+            for (std::int64_t dy = 0; dy < ps_; ++dy) {
+              const std::int64_t row = ((n * c + ci) * h + py * ps_ + dy) * w + px * ps_;
+              for (std::int64_t dx = 0; dx < ps_; ++dx) f(row + dx, patch++);
+            }
+  }
+
   std::int64_t ps_;
 };
 
-// [B,T,P] x [P,D] (+b) -> [B,T,D]; implemented by flattening tokens to rows.
+// [B,T,P] x [P,D] (+b) -> [B,T,D]: the token rows are already a contiguous
+// [B*T, P] matrix, so the GEMMs run on the tensors' storage directly.
 class token_linear_op final : public op {
 public:
   explicit token_linear_op(bool with_bias) : with_bias_{with_bias} {}
@@ -137,32 +138,46 @@ public:
     const tensor& w = *in[1];
     PELTA_CHECK_MSG(x.ndim() == 3 && w.ndim() == 2 && x.size(2) == w.size(0),
                     "token_linear shapes " << to_string(x.shape()) << " x " << to_string(w.shape()));
-    const std::int64_t b = x.size(0), t = x.size(1), d = w.size(1);
-    tensor flat = x.reshape({b * t, x.size(2)});
-    tensor out = ops::matmul(flat, w);
+    const std::int64_t rows = x.size(0) * x.size(1), d = w.size(1);
+    tensor out{shape_t{x.size(0), x.size(1), d}};
+    float* po = out.data().data();
+    ops::matmul_accumulate(x.data().data(), w.data().data(), po, rows, x.size(2), d);
     if (with_bias_) {
+      // After the GEMM, never as its accumulation base: x·w + b rounds
+      // differently from b + x·w.
       const tensor& bias = *in[2];
       PELTA_CHECK(bias.numel() == d);
-      for (std::int64_t r = 0; r < b * t; ++r)
-        for (std::int64_t c = 0; c < d; ++c) out.at(r, c) += bias[c];
+      const float* pb = bias.data().data();
+      for (std::int64_t r = 0; r < rows; ++r, po += d)
+        for (std::int64_t c = 0; c < d; ++c) po[c] += pb[c];
     }
-    return out.reshape({b, t, d});
+    return out;
   }
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
                                const tensor&) const override {
     const tensor& x = *in[0];
     const tensor& w = *in[1];
-    const std::int64_t b = x.size(0), t = x.size(1), p = x.size(2), d = w.size(1);
-    tensor g2 = g.reshape({b * t, d});
-    tensor x2 = x.reshape({b * t, p});
+    const std::int64_t rows = x.size(0) * x.size(1), p = x.size(2), d = w.size(1);
+    PELTA_CHECK(g.numel() == rows * d);
+    const float* pg = g.data().data();
     std::vector<tensor> grads;
-    grads.push_back(ops::matmul(g2, ops::transpose2d(w)).reshape(x.shape()));
-    grads.push_back(ops::matmul(ops::transpose2d(x2), g2));
+    // dX = g wᵀ, against w's own [P, D] storage.
+    tensor gx{x.shape()};
+    ops::matmul_accumulate(pg, w.data().data(), gx.data().data(), rows, d, p,
+                           /*b_transposed=*/true);
+    grads.push_back(std::move(gx));
+    // dW = xᵀ g.
+    tensor xt{shape_t{p, rows}};
+    ops::transpose_into(x.data().data(), xt.data().data(), rows, p);
+    tensor gw{w.shape()};
+    ops::matmul_accumulate(xt.data().data(), pg, gw.data().data(), p, rows, d);
+    grads.push_back(std::move(gw));
     if (with_bias_) {
       tensor gb{shape_t{d}};
-      for (std::int64_t r = 0; r < b * t; ++r)
-        for (std::int64_t c = 0; c < d; ++c) gb[c] += g2.at(r, c);
+      float* pgb = gb.data().data();
+      for (std::int64_t r = 0; r < rows; ++r, pg += d)
+        for (std::int64_t c = 0; c < d; ++c) pgb[c] += pg[c];
       grads.push_back(std::move(gb));
     }
     return grads;

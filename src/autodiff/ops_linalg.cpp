@@ -33,7 +33,8 @@ public:
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
                                const tensor&) const override {
-    return {ops::bmm(g, ops::transpose_last2(*in[1])), ops::bmm(ops::transpose_last2(*in[0]), g)};
+    // dA = g Bᵀ ; dB = Aᵀ g
+    return {ops::bmm_bt(g, *in[1]), ops::bmm(ops::transpose_last2(*in[0]), g)};
   }
 };
 

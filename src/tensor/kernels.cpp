@@ -1,36 +1,41 @@
 // Blocked GEMM micro-kernels. See kernels.h for the determinism contract.
 //
 // Structure (shared by the plain and transposed-B entry points):
-//   * k-blocking: the k range is walked in KC-sized blocks, ascending, so a
-//     B column panel stays hot in cache while every row tile reuses it.
-//     Partial sums round-trip through `out` between blocks — a float
-//     store/load, value-exact — and per-element k-order is unchanged.
-//   * Register tiles: MR x W accumulator blocks live across the whole
-//     k-loop of a block, so no partial sum touches memory inside it and
-//     each B row load is reused across MR output rows. The fixed-trip
-//     inner loops auto-vectorize; every path spells the accumulation as the
-//     same `acc += a * b` / masked-select expression, which keeps full
-//     tiles, tails, and any parallel row split bit-identical.
+//   * Blocking: the k range is walked in KC-deep blocks, ascending; within
+//     one, B is taken in NC-column panels and A in MC-row blocks, so the A
+//     block stays in L2 while it sweeps a panel and each B strip stays in
+//     L1 while the block's row tiles reuse it. Partial sums round-trip
+//     through `out` between blocks — a float store/load, value-exact — and
+//     per-element k-order is unchanged.
+//   * Register strips: the output is computed one MR x SW strip at a time
+//     (4 rows x two f32v vectors: 4 x 8 on SSE2), with the whole k-block
+//     loop inside the strip. Its 2*MR vector accumulators fit the register
+//     file beside the two B vectors and the A broadcast, so no partial sum
+//     touches memory inside the k-loop and each B row load is reused across
+//     the 4 output rows. Every path spells the accumulation as the same
+//     vector fmadd (kernels.h), lane-for-lane the scalar reference's
+//     rounding sequence, which keeps full strips, tails, and any parallel
+//     row split bit-identical.
+//   * Packing: B strips are copied contiguously (kc x SW) from the thread's
+//     scratch arena once A is tall enough to reuse them; a short A reads
+//     full strips in place. A ragged column edge (n % SW) is always packed
+//     zero-padded, and a full-width strip runs over it, loading and storing
+//     only the real columns: pad lanes are never stored and the real columns
+//     see the identical operation sequence. The transposed-B entry point
+//     packs every strip straight from B's [n, k] rows (sequential reads)
+//     instead of materializing the [k, n] transpose.
 //   * Zero-skip gate: decided ONCE per call from the operand's finiteness
-//     (kernels.h). Inside a tile the common all-rows-nonzero k-step takes a
-//     branch-free FMA path; a k-step where some row of A is zero falls back
-//     to a masked select `av != 0 ? acc + av*b : acc` — bit-exact with the
-//     classic per-element skip, without a branch in the inner loop.
-//   * Column tails (n % 16) never run narrow scalar loops: the tail columns
-//     are packed into a zero-padded 16-wide panel from the thread's scratch
-//     arena and full-width tiles run over it, storing only the real
-//     columns. Pad lanes cost nothing semantically (they are never stored)
-//     and the real columns see the identical operation sequence.
-//   * Transposed-B: B arrives as [n, k] row-major. Each (KC x 16) panel is
-//     repacked into an L1-resident buffer (blocked transpose, sequential
-//     reads), then the same register tiles run over it. The pack touches
-//     each B element once per sweep and is reused by every row tile —
-//     unlike the old cols_t path, which materialized the full [k, n]
-//     transpose per image with strided writes.
+//     (kernels.h). Within it, only row tiles holding a zero in the current
+//     k-block run the skipping body; there a k-step with no zero takes the
+//     FMA path and one with a zero a masked select
+//     `av != 0 ? fmadd(av, b, acc) : acc` — bit-exact with the classic
+//     per-element skip, without a branch per row.
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -43,184 +48,212 @@ namespace pelta::ops::detail {
 
 namespace {
 
-constexpr std::int64_t MR = k_gemm_mr;    // 4  — rows per register tile
-constexpr std::int64_t WMID = k_gemm_nr;  // 16 — packed/mid tile width
-constexpr std::int64_t WMAIN = 4 * WMID;  // 64 — main tile width
-constexpr std::int64_t KC = 1024;         // k-block: B panel KC*WMAIN = 256 KB
+constexpr std::int64_t MR = k_gemm_mr;  // rows per register strip
+constexpr std::int64_t SW = k_gemm_nr;  // columns per register strip: two vectors
+constexpr int VL = k_gemm_lanes;        // lanes per vector
+constexpr std::int64_t KC = 256;        // k-block: a packed B strip is KC*SW floats
+constexpr std::int64_t NC = 256;        // columns per packed B panel (KC*NC = 256 KB)
+constexpr std::int64_t MC = 64;         // rows per A block swept over one panel
+// Above this many rows a B strip is reused by enough row tiles to pay for
+// packing it contiguously (which also dodges the L1 set aliasing of a
+// power-of-two row stride); below it full strips are read in place.
+constexpr std::int64_t k_pack_rows = 4 * MR;
 
-// One ROWS x W register tile over k-block rows [0, kc) of B.
-//   a:   ROWS rows, stride lda, k-offset already applied
-//   b:   kc rows, stride ldb (ldb == n on B itself, WMID on a packed panel)
-//   out: ROWS rows, stride ldo; JSTORE columns are written back (JSTORE < W
-//        only for the zero-padded edge panel, whose pad lanes are compute-
-//        only and never touch memory)
-template <int ROWS, std::int64_t W, bool Skip, std::int64_t JSTORE = W>
-inline void gemm_tile(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
-                      float* out, std::int64_t ldo, std::int64_t kc) {
-  static_assert(JSTORE <= W);
-  float acc[ROWS][W];
-  for (int r = 0; r < ROWS; ++r) {
-    for (std::int64_t j = 0; j < JSTORE; ++j) acc[r][j] = out[r * ldo + j];
-    for (std::int64_t j = JSTORE; j < W; ++j) acc[r][j] = 0.0f;  // pad lanes
-  }
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const float* brow = b + kk * ldb;
-    float av[ROWS];
-    bool any_zero = false;
-    for (int r = 0; r < ROWS; ++r) {
-      av[r] = a[r * lda + kk];
-      any_zero |= (av[r] == 0.0f);
-    }
-    // The W == WMID instantiations carry a "GCC unroll 1" pragma: GCC
-    // completely unrolls a bare 16-trip loop into scalar straight-line code
-    // that SLP fails to re-vectorize (observed 15x slowdown); kept
-    // loop-shaped, the loop vectorizer collapses it into full-width vector
-    // ops. The wide instantiations vectorize best as plain loops, so the
-    // two forms are split on W — the expressions are identical.
-    if (!Skip || !any_zero) {
-      // Common case: no zero anywhere in the tile's A column — one
-      // predictable branch guards a pure FMA block.
-      if constexpr (W == WMID) {
-        for (int r = 0; r < ROWS; ++r)
-#pragma GCC unroll 1
-          for (std::int64_t j = 0; j < W; ++j) acc[r][j] = fmadd(av[r], brow[j], acc[r][j]);
-      } else {
-        for (int r = 0; r < ROWS; ++r)
-          for (std::int64_t j = 0; j < W; ++j) acc[r][j] = fmadd(av[r], brow[j], acc[r][j]);
-      }
-    } else {
-      // Some row skips: masked select, bit-exact with skipping the update.
-      if constexpr (W == WMID) {
-        for (int r = 0; r < ROWS; ++r)
-#pragma GCC unroll 1
-          for (std::int64_t j = 0; j < W; ++j)
-            acc[r][j] = av[r] != 0.0f ? fmadd(av[r], brow[j], acc[r][j]) : acc[r][j];
-      } else {
-        for (int r = 0; r < ROWS; ++r)
-          for (std::int64_t j = 0; j < W; ++j)
-            acc[r][j] = av[r] != 0.0f ? fmadd(av[r], brow[j], acc[r][j]) : acc[r][j];
-      }
-    }
-  }
-  for (int r = 0; r < ROWS; ++r)
-    for (std::int64_t j = 0; j < JSTORE; ++j) out[r * ldo + j] = acc[r][j];
+using i32v = std::int32_t __attribute__((vector_size(4 * VL)));
+
+inline f32v load(const float* p) {
+  f32v v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-// All row tiles of one column panel: MR blocks, then the 3/2/1 remainder
-// through the same template body at smaller ROWS. JSTORE as in gemm_tile.
-template <std::int64_t W, bool Skip, std::int64_t JSTORE = W>
-inline void panel_rows(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
-                       float* out, std::int64_t ldo, std::int64_t kc, std::int64_t m) {
-  std::int64_t i = 0;
-  for (; i + MR <= m; i += MR)
-    gemm_tile<MR, W, Skip, JSTORE>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc);
-  switch (m - i) {
-    case 3: gemm_tile<3, W, Skip, JSTORE>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc); break;
-    case 2: gemm_tile<2, W, Skip, JSTORE>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc); break;
-    case 1: gemm_tile<1, W, Skip, JSTORE>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc); break;
-    default: break;
-  }
+inline void store(float* p, f32v v) { std::memcpy(p, &v, sizeof v); }
+
+// Broadcast as one brace-initializer ({s, s, ...}), which GCC lowers to a
+// single shuffle; a per-lane store loop compiles to lane-insert chains.
+template <std::size_t... I>
+inline f32v splat_lanes(float s, std::index_sequence<I...>) {
+  return f32v{((void)I, s)...};
 }
 
-// Edge panel: the last n % 16 columns, zero-padded to a full 16-wide packed
-// panel (row stride ldb) so the tile loops stay fixed-trip. Dispatch on the
-// store width.
-template <bool Skip>
-void panel_rows_edge(const float* a, std::int64_t lda, const float* panel, std::int64_t ldb,
-                     float* out, std::int64_t ldo, std::int64_t kc, std::int64_t m,
-                     std::int64_t jn) {
-  switch (jn) {
-    case 1: panel_rows<WMID, Skip, 1>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 2: panel_rows<WMID, Skip, 2>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 3: panel_rows<WMID, Skip, 3>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 4: panel_rows<WMID, Skip, 4>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 5: panel_rows<WMID, Skip, 5>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 6: panel_rows<WMID, Skip, 6>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 7: panel_rows<WMID, Skip, 7>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 8: panel_rows<WMID, Skip, 8>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 9: panel_rows<WMID, Skip, 9>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 10: panel_rows<WMID, Skip, 10>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 11: panel_rows<WMID, Skip, 11>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 12: panel_rows<WMID, Skip, 12>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 13: panel_rows<WMID, Skip, 13>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 14: panel_rows<WMID, Skip, 14>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 15: panel_rows<WMID, Skip, 15>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    default: break;
-  }
-}
+inline f32v splat(float s) { return splat_lanes(s, std::make_index_sequence<VL>{}); }
 
-template <bool Skip>
-void gemm_blocked(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
-                  std::int64_t n) {
-  const std::int64_t jn_edge = n % WMID;
-  scratch_buffer panel_buf;
-  if (jn_edge != 0)
-    panel_buf = scratch_arena::local().take(static_cast<std::size_t>(KC * WMID));
-  for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
-    const std::int64_t kc = std::min(KC, k - k0);
-    const float* ablk = a + k0;
-    const float* bblk = b + k0 * n;
-    std::int64_t j = 0;
-    for (; j + WMAIN <= n; j += WMAIN)
-      panel_rows<WMAIN, Skip>(ablk, k, bblk + j, n, out + j, n, kc, m);
-    for (; j + WMID <= n; j += WMID)
-      panel_rows<WMID, Skip>(ablk, k, bblk + j, n, out + j, n, kc, m);
-    if (j < n) {
-      // Pack the ragged edge columns, zero-padded to WMID.
-      float* panel = panel_buf.data();
-      for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const float* src = bblk + kk * n + j;
-        float* dst = panel + kk * WMID;
-        for (std::int64_t jj = 0; jj < jn_edge; ++jj) dst[jj] = src[jj];
-        for (std::int64_t jj = jn_edge; jj < WMID; ++jj) dst[jj] = 0.0f;
-      }
-      panel_rows_edge<Skip>(ablk, k, panel, WMID, out + j, n, kc, m, jn_edge);
-    }
-  }
-}
-
-template <bool Skip>
-void gemm_bt_blocked(const float* a, const float* bt, float* out, std::int64_t m, std::int64_t k,
-                     std::int64_t n) {
-  // Cache-resident pack buffer for one (kc x WMAIN) B panel, reused across
-  // the whole call — and across calls, via the thread's arena.
-  scratch_buffer panel_buf = scratch_arena::local().take(static_cast<std::size_t>(KC * WMAIN));
-  float* panel = panel_buf.data();
-  for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
-    const std::int64_t kc = std::min(KC, k - k0);
-    const float* ablk = a + k0;
-    for (std::int64_t j = 0; j < n; j += WMAIN) {
-      const std::int64_t jw = std::min(WMAIN, n - j);
-      // Blocked transpose of B rows [j, j+jw) x k-range [k0, k0+kc): reads
-      // are sequential along each B row; the ragged tail of the last
-      // 16-wide lane group is zero-padded.
-      const std::int64_t jw_pad = (jw + WMID - 1) / WMID * WMID;
-      for (std::int64_t jj = 0; jj < jw; ++jj) {
-        const float* src = bt + (j + jj) * k + k0;
-        for (std::int64_t kk = 0; kk < kc; ++kk) panel[kk * WMAIN + jj] = src[kk];
-      }
-      if (jw < jw_pad)
-        for (std::int64_t kk = 0; kk < kc; ++kk)
-          for (std::int64_t jj = jw; jj < jw_pad; ++jj) panel[kk * WMAIN + jj] = 0.0f;
-      // Full-width tiles over the packed panel (ldb = WMAIN), then 16-wide
-      // lane groups, then the store-masked edge.
-      if (jw == WMAIN) {
-        panel_rows<WMAIN, Skip>(ablk, k, panel, WMAIN, out + j, n, kc, m);
-      } else {
-        std::int64_t js = 0;
-        for (; js + WMID <= jw; js += WMID)
-          panel_rows<WMID, Skip>(ablk, k, panel + js, WMAIN, out + j + js, n, kc, m);
-        if (js < jw)
-          panel_rows_edge<Skip>(ablk, k, panel + js, WMAIN, out + j + js, n, kc, m, jw - js);
-      }
-    }
-  }
+// av != 0 ? t : acc per lane — the masked select that is bit-exact with
+// skipping the term (it also keeps a -0.0 accumulator's sign).
+inline f32v select_nonzero(f32v av, f32v t, f32v acc) {
+  const i32v keep = av != f32v{};
+  return std::bit_cast<f32v>((std::bit_cast<i32v>(t) & keep) |
+                             (std::bit_cast<i32v>(acc) & ~keep));
 }
 
 bool any_zero_in(const float* p, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i)
     if (p[i] == 0.0f) return true;
   return false;
+}
+
+// One ROWS x SW strip over k-block rows [0, kc) of B.
+//   a:   ROWS rows, stride lda, k-offset already applied
+//   b:   kc rows, stride ldb; SW columns readable (a packed strip zero-pads)
+//   out: ROWS rows, stride ldo; only the first jn <= SW columns are loaded
+//        and stored (jn < SW only on a zero-padded edge strip, whose pad
+//        lanes are compute-only)
+template <int ROWS, bool Skip>
+inline void gemm_strip(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+                       float* out, std::int64_t ldo, std::int64_t kc, std::int64_t jn) {
+  f32v lo[ROWS];
+  f32v hi[ROWS];
+  for (int r = 0; r < ROWS; ++r) {
+    if (jn == SW) {
+      lo[r] = load(out + r * ldo);
+      hi[r] = load(out + r * ldo + VL);
+    } else {
+      float edge[SW] = {};  // pad lanes start at zero and are never stored
+      std::memcpy(edge, out + r * ldo, static_cast<std::size_t>(jn) * sizeof(float));
+      lo[r] = load(edge);
+      hi[r] = load(edge + VL);
+    }
+  }
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const f32v b0 = load(b + kk * ldb);
+    const f32v b1 = load(b + kk * ldb + VL);
+    float av[ROWS];
+    bool any_zero = false;
+    for (int r = 0; r < ROWS; ++r) {
+      av[r] = a[r * lda + kk];
+      any_zero |= (av[r] == 0.0f);
+    }
+    if (!Skip || !any_zero) {
+      // Common case: no zero anywhere in the strip's A column — one
+      // predictable branch guards a pure FMA block.
+      for (int r = 0; r < ROWS; ++r) {
+        const f32v v = splat(av[r]);
+        lo[r] = fmadd(v, b0, lo[r]);
+        hi[r] = fmadd(v, b1, hi[r]);
+      }
+    } else {
+      // Some row skips: masked select, bit-exact with skipping the update.
+      for (int r = 0; r < ROWS; ++r) {
+        const f32v v = splat(av[r]);
+        lo[r] = select_nonzero(v, fmadd(v, b0, lo[r]), lo[r]);
+        hi[r] = select_nonzero(v, fmadd(v, b1, hi[r]), hi[r]);
+      }
+    }
+  }
+  for (int r = 0; r < ROWS; ++r) {
+    if (jn == SW) {
+      store(out + r * ldo, lo[r]);
+      store(out + r * ldo + VL, hi[r]);
+    } else {
+      float edge[SW];
+      store(edge, lo[r]);
+      store(edge + VL, hi[r]);
+      std::memcpy(out + r * ldo, edge, static_cast<std::size_t>(jn) * sizeof(float));
+    }
+  }
+}
+
+// All row tiles of one strip: MR blocks, then the 3/2/1 remainder through
+// the same template body at smaller ROWS. jn as in gemm_strip. Under Skip,
+// tile_zero[t] says whether row tile t holds a zero in this k-block; tiles
+// without one take the dense body, so the per-k-step zero test is only paid
+// where a term can actually be skipped.
+template <bool Skip>
+void strip_rows(const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* out,
+                std::int64_t ldo, std::int64_t kc, std::int64_t m, std::int64_t jn,
+                const bool* tile_zero) {
+  std::int64_t i = 0;
+  for (; i + MR <= m; i += MR) {
+    if (Skip && tile_zero[i / MR])
+      gemm_strip<MR, true>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc, jn);
+    else
+      gemm_strip<MR, false>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc, jn);
+  }
+  switch (m - i) {
+    case 3: gemm_strip<3, Skip>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc, jn); break;
+    case 2: gemm_strip<2, Skip>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc, jn); break;
+    case 1: gemm_strip<1, Skip>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc, jn); break;
+    default: break;
+  }
+}
+
+// The loop nest shared by both entry points. For each k-block and each
+// NC-column panel, the panel's strips are packed contiguously (zero-padded
+// at a ragged edge) by pack(dst, k0, kc, j, jn), which writes columns
+// [j, j+jn) of k-rows [k0, k0+kc) as one kc x SW strip. Then MC-row blocks
+// of A sweep the panel strip by strip, so the A block stays in L2 across
+// the panel's strips and each strip stays in L1 across the block's row
+// tiles. With `direct` set, full strips are read in place from B (row
+// stride n) and only a ragged edge is packed.
+template <bool Skip, class PackStrip>
+void gemm_panels(const float* a, float* out, std::int64_t m, std::int64_t k, std::int64_t n,
+                 const float* direct, const PackStrip& pack) {
+  const std::int64_t n_full = n - n % SW;
+  scratch_buffer panel_buf;
+  if (direct == nullptr || n_full < n) {
+    const std::int64_t panel_cols = std::min(NC, (n + SW - 1) / SW * SW);
+    panel_buf = scratch_arena::local().take(static_cast<std::size_t>(KC * panel_cols));
+  }
+  float* panel = panel_buf.data();
+  for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
+    const std::int64_t kc = std::min(KC, k - k0);
+    for (std::int64_t j0 = 0; j0 < n; j0 += NC) {
+      const std::int64_t cols = std::min(NC, n - j0);
+      const auto in_place = [&](std::int64_t j) { return direct != nullptr && j0 + j < n_full; };
+      for (std::int64_t j = 0; j < cols; j += SW)
+        if (!in_place(j)) pack(panel + j * kc, k0, kc, j0 + j, std::min(SW, cols - j));
+      for (std::int64_t i0 = 0; i0 < m; i0 += MC) {
+        const float* ablk = a + i0 * k + k0;
+        float* oblk = out + i0 * n + j0;
+        const std::int64_t rows = std::min(MC, m - i0);
+        bool tile_zero[MC / MR] = {};
+        if constexpr (Skip)
+          for (std::int64_t t = 0; t + MR <= rows; t += MR)
+            for (std::int64_t r = t; r < t + MR; ++r)
+              tile_zero[t / MR] = tile_zero[t / MR] || any_zero_in(ablk + r * k, kc);
+        for (std::int64_t j = 0; j < cols; j += SW) {
+          if (in_place(j))
+            strip_rows<Skip>(ablk, k, direct + k0 * n + j0 + j, n, oblk + j, n, kc, rows, SW,
+                             tile_zero);
+          else
+            strip_rows<Skip>(ablk, k, panel + j * kc, SW, oblk + j, n, kc, rows,
+                             std::min(SW, cols - j), tile_zero);
+        }
+      }
+    }
+  }
+}
+
+template <bool Skip>
+void gemm_blocked(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
+                  std::int64_t n) {
+  // A short A reuses each strip too few times to pay for packing it.
+  const float* direct = m > k_pack_rows ? nullptr : b;
+  gemm_panels<Skip>(a, out, m, k, n, direct,
+                    [&](float* dst, std::int64_t k0, std::int64_t kc, std::int64_t j,
+                        std::int64_t jn) {
+                      for (std::int64_t kk = 0; kk < kc; ++kk, dst += SW) {
+                        const float* src = b + (k0 + kk) * n + j;
+                        for (std::int64_t jj = 0; jj < jn; ++jj) dst[jj] = src[jj];
+                        for (std::int64_t jj = jn; jj < SW; ++jj) dst[jj] = 0.0f;
+                      }
+                    });
+}
+
+template <bool Skip>
+void gemm_bt_blocked(const float* a, const float* bt, float* out, std::int64_t m, std::int64_t k,
+                     std::int64_t n) {
+  // Transposing pack: reads are sequential along each [n, k] row of B.
+  gemm_panels<Skip>(a, out, m, k, n, nullptr,
+                    [&](float* dst, std::int64_t k0, std::int64_t kc, std::int64_t j,
+                        std::int64_t jn) {
+                      for (std::int64_t jj = 0; jj < jn; ++jj) {
+                        const float* src = bt + (j + jj) * k + k0;
+                        for (std::int64_t kk = 0; kk < kc; ++kk) dst[kk * SW + jj] = src[kk];
+                      }
+                      for (std::int64_t jj = jn; jj < SW; ++jj)
+                        for (std::int64_t kk = 0; kk < kc; ++kk) dst[kk * SW + jj] = 0.0f;
+                    });
 }
 
 // ---- int8 quantized GEMM ----------------------------------------------------

@@ -6,25 +6,44 @@
 //
 // Determinism contract (see README "Tensor backend"): for every output
 // element the k-accumulation order is ascending and expressed by the same
-// source-level `acc += a * b` sequence on every code path (full register
-// tiles, row tails, column tails). A row's bits therefore never depend on
-// which tile or parallel chunk it landed in, which is what lets matmul and
-// the conv batch loops split work across PELTA_THREADS without changing a
-// single bit of the result.
+// fmadd sequence on every code path (full register strips, row tails,
+// column tails). A row's bits therefore never depend on which strip or
+// parallel chunk it landed in, which is what lets matmul and the conv batch
+// loops split work across PELTA_THREADS without changing a single bit of
+// the result.
 #pragma once
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 
+#if defined(__FMA__) && (defined(__x86_64__) || defined(__i386__))
+#include <immintrin.h>
+#endif
+
 namespace pelta::ops::detail {
 
-/// Register-tile extents of the blocked GEMM in kernels.cpp. Callers that
+/// Lanes of the GEMM strip's vectors: the widest fp32 vector the compile
+/// target has (SSE2 on the portable build, AVX/AVX-512 under PELTA_NATIVE).
+#if defined(__AVX512F__)
+inline constexpr int k_gemm_lanes = 16;
+#elif defined(__AVX__)
+inline constexpr int k_gemm_lanes = 8;
+#else
+inline constexpr int k_gemm_lanes = 4;
+#endif
+
+/// Register-strip extents of the blocked GEMM in kernels.cpp. Callers that
 /// split rows across threads should round their chunk grain up to
 /// k_gemm_mr so mid-matrix chunks keep full row tiles (values are
 /// grain-independent either way; this is purely a throughput concern).
-inline constexpr std::int64_t k_gemm_mr = 4;   // rows per register tile
-inline constexpr std::int64_t k_gemm_nr = 16;  // columns per register tile
+inline constexpr std::int64_t k_gemm_mr = 4;                 // rows per strip
+inline constexpr std::int64_t k_gemm_nr = 2 * k_gemm_lanes;  // columns per strip
+
+/// k_gemm_lanes fp32 lanes as a GCC/Clang vector type: the accumulator and
+/// B-row unit of the GEMM strips. A plain `float acc[4][8]` does not stay
+/// in registers — GCC scalarizes it — while an array of these does.
+using f32v = float __attribute__((vector_size(4 * k_gemm_lanes)));
 
 /// Single-rounding fused multiply-add where the ISA has it, separate
 /// mul+add where it does not — fixed at compile time. Every kernel path
@@ -37,6 +56,24 @@ inline constexpr std::int64_t k_gemm_nr = 16;  // columns per register tile
 inline float fmadd(float a, float b, float c) {
 #if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
   return std::fma(a, b, c);
+#else
+  return a * b + c;  // no FMA on this target: contraction cannot diverge
+#endif
+}
+
+/// Lane-wise fmadd with the same compile-time rounding choice as the scalar
+/// form, so a vector lane and a scalar reference element see identical bits.
+inline f32v fmadd(f32v a, f32v b, f32v c) {
+#if defined(__FMA__) && defined(__AVX512F__)
+  return _mm512_fmadd_ps(a, b, c);
+#elif defined(__FMA__) && defined(__AVX__)
+  return _mm256_fmadd_ps(a, b, c);
+#elif defined(__FMA__) && (defined(__x86_64__) || defined(__i386__))
+  return _mm_fmadd_ps(a, b, c);
+#elif defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+  f32v r;
+  for (int i = 0; i < k_gemm_lanes; ++i) r[i] = std::fma(a[i], b[i], c[i]);
+  return r;
 #else
   return a * b + c;  // no FMA on this target: contraction cannot diverge
 #endif
@@ -86,9 +123,10 @@ void gemm_accumulate(const float* a, const float* b, float* out, std::int64_t m,
 // row-major as [n,k] and B[kk][j] = bt[j*k + kk]. Bit-identical to
 // materializing the [k,n] transpose and calling gemm_accumulate — same
 // ascending k-order per element, same zero-skip gate (decided from bt's
-// finiteness) — but instead of a full [k,n] transpose per call it repacks
-// one L1-resident (KC x 16) panel at a time from the thread's scratch
-// arena, so conv2d_backward_weight no longer materializes cols_t.
+// finiteness) — but instead of a full [k,n] transpose per call it packs
+// one cache-sized panel of register strips at a time from the thread's
+// scratch arena, so conv2d_backward_weight and the transposed-operand
+// backward passes (token_linear's, ops::bmm_bt) never materialize one.
 void gemm_accumulate_bt(const float* a, const float* bt, float* out, std::int64_t m,
                         std::int64_t k, std::int64_t n, finite_cache& bt_finite);
 
@@ -111,7 +149,7 @@ void gemm_accumulate_bt(const float* a, const float* bt, float* out, std::int64_
 
 /// Bytes per k-group: vpmaddubsw consumes 4 consecutive k bytes per lane.
 inline constexpr std::int64_t k_qgemm_kg = 4;
-/// Packed panel width (columns per panel), matching the fp32 tile width.
+/// Packed panel width (columns per panel).
 inline constexpr std::int64_t k_qgemm_nr = 16;
 
 /// Number of 4-wide k-groups covering k (k zero-padded up to a multiple of 4).

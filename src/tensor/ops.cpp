@@ -178,23 +178,45 @@ float dot(const tensor& a, const tensor& b) {
 
 namespace {
 
-using detail::gemm_accumulate;
-
 // Below this flop count the pool submit overhead beats the row split.
 constexpr std::int64_t k_parallel_flops = 1 << 15;
 
-}  // namespace
+void gemm_any(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
+              std::int64_t n, bool b_transposed, detail::finite_cache& b_finite) {
+  if (b_transposed)
+    detail::gemm_accumulate_bt(a, b, out, m, k, n, b_finite);
+  else
+    detail::gemm_accumulate(a, b, out, m, k, n, b_finite);
+}
 
-tensor matmul(const tensor& a, const tensor& b) {
-  PELTA_CHECK_MSG(a.ndim() == 2 && b.ndim() == 2,
-                  "matmul expects 2-d, got " << to_string(a.shape()) << " x " << to_string(b.shape()));
-  PELTA_CHECK_MSG(a.size(1) == b.size(0),
-                  "matmul inner dim mismatch " << to_string(a.shape()) << " x " << to_string(b.shape()));
-  const std::int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  tensor out{shape_t{m, n}};
+tensor bmm_impl(const tensor& a, const tensor& b, bool b_transposed) {
+  PELTA_CHECK_MSG(a.ndim() == 3 && b.ndim() == 3,
+                  "bmm expects 3-d, got " << to_string(a.shape()) << " x " << to_string(b.shape()));
+  const std::int64_t bt = a.size(0), m = a.size(1), k = a.size(2);
+  const std::int64_t n = b.size(b_transposed ? 1 : 2);
+  PELTA_CHECK_MSG(b.size(0) == bt && b.size(b_transposed ? 2 : 1) == k,
+                  "bmm shape mismatch " << to_string(a.shape()) << " x " << to_string(b.shape())
+                                        << (b_transposed ? " (transposed)" : ""));
+  tensor out{shape_t{bt, m, n}};
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* po = out.data().data();
+  const auto one_batch = [&](std::int64_t i) {
+    detail::finite_cache b_finite;  // per batch: each has its own B slice
+    gemm_any(pa + i * m * k, pb + i * k * n, po + i * m * n, m, k, n, b_transposed, b_finite);
+  };
+  if (bt >= 2 && bt * m * k * n >= k_parallel_flops) {
+    parallel_for(bt, one_batch);  // batches write disjoint output slices
+  } else {
+    for (std::int64_t i = 0; i < bt; ++i) one_batch(i);
+  }
+  return out;
+}
+
+}  // namespace
+
+void matmul_accumulate(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
+                       std::int64_t n, bool b_transposed) {
   detail::finite_cache b_finite;  // shared across chunks: B scanned at most once
   if (m >= 2 && m * k * n >= k_parallel_flops) {
     // Output rows are disjoint, so the split is bit-identical to serial.
@@ -206,43 +228,38 @@ tensor matmul(const tensor& a, const tensor& b) {
         std::max<std::int64_t>(1, m / (8 * static_cast<std::int64_t>(parallel_thread_count())));
     grain = (grain + mr - 1) / mr * mr;
     parallel_for_range(m, grain, [&](std::int64_t lo, std::int64_t hi) {
-      gemm_accumulate(pa + lo * k, pb, po + lo * n, hi - lo, k, n, b_finite);
+      gemm_any(a + lo * k, b, out + lo * n, hi - lo, k, n, b_transposed, b_finite);
     });
   } else {
-    gemm_accumulate(pa, pb, po, m, k, n, b_finite);
+    gemm_any(a, b, out, m, k, n, b_transposed, b_finite);
   }
+}
+
+void transpose_into(const float* a, float* out, std::int64_t m, std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) out[j * m + i] = a[i * n + j];
+}
+
+tensor matmul(const tensor& a, const tensor& b) {
+  PELTA_CHECK_MSG(a.ndim() == 2 && b.ndim() == 2,
+                  "matmul expects 2-d, got " << to_string(a.shape()) << " x " << to_string(b.shape()));
+  PELTA_CHECK_MSG(a.size(1) == b.size(0),
+                  "matmul inner dim mismatch " << to_string(a.shape()) << " x " << to_string(b.shape()));
+  tensor out{shape_t{a.size(0), b.size(1)}};
+  matmul_accumulate(a.data().data(), b.data().data(), out.data().data(), a.size(0), a.size(1),
+                    b.size(1));
   return out;
 }
 
-tensor bmm(const tensor& a, const tensor& b) {
-  PELTA_CHECK_MSG(a.ndim() == 3 && b.ndim() == 3,
-                  "bmm expects 3-d, got " << to_string(a.shape()) << " x " << to_string(b.shape()));
-  PELTA_CHECK_MSG(a.size(0) == b.size(0) && a.size(2) == b.size(1),
-                  "bmm shape mismatch " << to_string(a.shape()) << " x " << to_string(b.shape()));
-  const std::int64_t bt = a.size(0), m = a.size(1), k = a.size(2), n = b.size(2);
-  tensor out{shape_t{bt, m, n}};
-  const float* pa = a.data().data();
-  const float* pb = b.data().data();
-  float* po = out.data().data();
-  const auto one_batch = [&](std::int64_t i) {
-    const float* bslice = pb + i * k * n;
-    detail::finite_cache b_finite;  // per batch: each has its own B slice
-    gemm_accumulate(pa + i * m * k, bslice, po + i * m * n, m, k, n, b_finite);
-  };
-  if (bt >= 2 && bt * m * k * n >= k_parallel_flops) {
-    parallel_for(bt, one_batch);  // batches write disjoint output slices
-  } else {
-    for (std::int64_t i = 0; i < bt; ++i) one_batch(i);
-  }
-  return out;
-}
+tensor bmm(const tensor& a, const tensor& b) { return bmm_impl(a, b, /*b_transposed=*/false); }
+
+tensor bmm_bt(const tensor& a, const tensor& bt) { return bmm_impl(a, bt, /*b_transposed=*/true); }
 
 tensor transpose2d(const tensor& a) {
   PELTA_CHECK_MSG(a.ndim() == 2, "transpose2d on " << to_string(a.shape()));
   const std::int64_t m = a.size(0), n = a.size(1);
   tensor out{shape_t{n, m}};
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) out.at(j, i) = a.at(i, j);
+  transpose_into(a.data().data(), out.data().data(), m, n);
   return out;
 }
 
@@ -251,8 +268,7 @@ tensor transpose_last2(const tensor& a) {
   const std::int64_t b = a.size(0), m = a.size(1), n = a.size(2);
   tensor out{shape_t{b, n, m}};
   for (std::int64_t t = 0; t < b; ++t)
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < n; ++j) out.at(t, j, i) = a.at(t, i, j);
+    transpose_into(a.data().data() + t * m * n, out.data().data() + t * m * n, m, n);
   return out;
 }
 

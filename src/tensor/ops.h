@@ -65,9 +65,24 @@ float dot(const tensor& a, const tensor& b);
 tensor matmul(const tensor& a, const tensor& b);
 /// Batched [B,M,K] x [B,K,N] -> [B,M,N].
 tensor bmm(const tensor& a, const tensor& b);
+/// Batched [B,M,K] x [B,N,K]ᵀ -> [B,M,N]; bit-identical to
+/// bmm(a, transpose_last2(bt)).
+tensor bmm_bt(const tensor& a, const tensor& bt);
 /// [M,N] -> [N,M].
 tensor transpose2d(const tensor& a);
 /// [B,M,N] -> [B,N,M].
 tensor transpose_last2(const tensor& a);
+
+// ---- raw row-major storage --------------------------------------------------
+// For ops that already hold contiguous buffers (e.g. [B,T,P] token rows) and
+// would otherwise pay a reshape copy to reach the tensor forms above.
+
+/// out[M,N] += a[M,K] x b[K,N], rows split across the pool exactly as matmul
+/// splits them, so the result is bit-identical to matmul at every
+/// PELTA_THREADS. With b_transposed, b is stored as [N,K] (out += a x bᵀ).
+void matmul_accumulate(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
+                       std::int64_t n, bool b_transposed = false);
+/// out[N,M] = a[M,N]ᵀ.
+void transpose_into(const float* a, float* out, std::int64_t m, std::int64_t n);
 
 }  // namespace pelta::ops

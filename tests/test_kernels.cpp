@@ -9,12 +9,15 @@
 // cross threads even on single-core hosts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "autodiff/ops_conv.h"
 #include "reference_kernels.h"
 #include "tensor/conv.h"
 #include "tensor/kernels.h"
@@ -54,26 +57,41 @@ bool bits_equal(const std::vector<float>& x, const std::vector<float>& y) {
 
 TEST(BlockedGemm, BitEqualsReferenceOnEdgeShapes) {
   rng gen{41};
-  // Every combination straddling the register tile: empty, single, tile-1,
-  // tile, tile+1 for both MR (rows) and NR (columns), plus non-multiples.
-  const std::vector<std::int64_t> row_dims{0, 1, 3, 4, 5, 11};
-  const std::vector<std::int64_t> k_dims{0, 1, 2, 7, 19};
-  const std::vector<std::int64_t> col_dims{0,  1,  3,  static_cast<std::int64_t>(k_gemm_mr) - 1,
-                                           4,  5,  15, static_cast<std::int64_t>(k_gemm_nr),
-                                           17, 37};
-  for (std::int64_t m : row_dims)
-    for (std::int64_t k : k_dims)
-      for (std::int64_t n : col_dims) {
-        const std::vector<float> a = random_operand(gen, m * k, 0.25f);
-        const std::vector<float> b = random_operand(gen, k * n, 0.1f);
-        std::vector<float> base(static_cast<std::size_t>(m * n));
-        for (float& x : base) x = gen.uniform(-0.5f, 0.5f);  // nonzero accumulation base
-        std::vector<float> want = base, got = base;
-        reference_gemm(a.data(), b.data(), want.data(), m, k, n);
-        finite_cache cache;
-        gemm_accumulate(a.data(), b.data(), got.data(), m, k, n, cache);
-        ASSERT_TRUE(bits_equal(want, got)) << "m=" << m << " k=" << k << " n=" << n;
-      }
+  // Every combination straddling the register strip: empty, single,
+  // strip-1, strip, strip+1 for both MR (rows) and NR (columns), two strips,
+  // rows on both sides of the B-packing threshold (16) and of the A block
+  // (64), columns on both sides of the packed panel (256), depths on both
+  // sides of the k-block (256), plus non-multiples.
+  constexpr auto mr = static_cast<std::int64_t>(k_gemm_mr);
+  constexpr auto nr = static_cast<std::int64_t>(k_gemm_nr);
+  const std::vector<std::int64_t> row_dims{0, 1, 3, 4, 5, 11, 16, 17, 33, 70};
+  const std::vector<std::int64_t> k_dims{0, 1, 2, 7, 19, 257};
+  const std::vector<std::int64_t> col_dims{0,      1,      3,      mr - 1, 4,  5,  15, nr - 1, nr,
+                                           nr + 1, 17,     37,     2 * nr - 1, 2 * nr,
+                                           2 * nr + 1, 64, 65, 263};
+  for (const bool zero_rows : {false, true})
+    for (std::int64_t m : row_dims)
+      for (std::int64_t k : k_dims)
+        for (std::int64_t n : col_dims) {
+          std::vector<float> a = random_operand(gen, m * k, 0.25f);
+          const std::vector<float> b = random_operand(gen, k * n, 0.1f);
+          std::vector<float> base(static_cast<std::size_t>(m * n));
+          for (float& x : base) x = gen.uniform(-0.5f, 0.5f);  // nonzero accumulation base
+          // Whole zero rows of A over a -0.0 base: every strip then takes the
+          // masked-select Skip path, and only a real skip keeps the sign of
+          // zero (-0 + 0*b would round to +0).
+          if (zero_rows)
+            for (std::int64_t i = 1; i < m; i += 3) {
+              std::fill_n(a.begin() + i * k, k, 0.0f);
+              std::fill_n(base.begin() + i * n, n, -0.0f);
+            }
+          std::vector<float> want = base, got = base;
+          reference_gemm(a.data(), b.data(), want.data(), m, k, n);
+          finite_cache cache;
+          gemm_accumulate(a.data(), b.data(), got.data(), m, k, n, cache);
+          ASSERT_TRUE(bits_equal(want, got))
+              << "m=" << m << " k=" << k << " n=" << n << " zero_rows=" << zero_rows;
+        }
 }
 
 TEST(BlockedGemm, RowSliceInvariance) {
@@ -182,6 +200,58 @@ TEST(BlockedGemm, MatmulBitIdenticalAcrossThreadWidths) {
                            static_cast<std::size_t>(pooled.numel()) * sizeof(float)));
   ASSERT_EQ(0, std::memcmp(pooled.data().data(), two_wide.data().data(),
                            static_cast<std::size_t>(pooled.numel()) * sizeof(float)));
+}
+
+// token_linear runs its GEMMs on the operands' storage (no reshape copies,
+// transposed-B backward). Forward and every gradient must equal the composed
+// tensor-op path bit for bit, at batch 1 and 32 and at pool widths 1 and 8.
+TEST(TokenLinear, BitEqualsComposedPath) {
+  rng gen{61};
+  const std::int64_t t = 17, p = 48, d = 40;  // d straddles the strip width
+  const tensor w = tensor::randn(gen, {p, d});
+  const tensor bias = tensor::randn(gen, {d});
+  for (const std::int64_t b : {1, 32}) {
+    tensor x = tensor::randn(gen, {b, t, p});
+    for (float& v : x.data())
+      if (gen.bernoulli(0.1f)) v = 0.0f;  // post-activation zeros: the Skip path
+    const tensor g = tensor::randn(gen, {b, t, d});
+
+    // Composed path: flatten tokens, ops::matmul, then the bias.
+    const tensor x2 = x.reshape({b * t, p});
+    const tensor g2 = g.reshape({b * t, d});
+    tensor want_y = ops::matmul(x2, w);
+    for (std::int64_t r = 0; r < b * t; ++r)
+      for (std::int64_t c = 0; c < d; ++c) want_y.at(r, c) += bias[c];
+    const tensor want_gx = ops::matmul(g2, ops::transpose2d(w));
+    const tensor want_gw = ops::matmul(ops::transpose2d(x2), g2);
+    tensor want_gb{shape_t{d}};
+    for (std::int64_t r = 0; r < b * t; ++r)
+      for (std::int64_t c = 0; c < d; ++c) want_gb[c] += g2.at(r, c);
+
+    const auto bits_equal_tensor = [](const tensor& x, const tensor& y) {
+      return x.numel() == y.numel() &&
+             std::memcmp(x.data().data(), y.data().data(),
+                         static_cast<std::size_t>(x.numel()) * sizeof(float)) == 0;
+    };
+    const auto check = [&](const std::string& width) {
+      const ad::op_ptr op = ad::make_token_linear(/*with_bias=*/true);
+      const std::vector<const tensor*> in{&x, &w, &bias};
+      const tensor y = op->forward(in);
+      ASSERT_EQ(y.shape(), (shape_t{b, t, d}));
+      EXPECT_TRUE(bits_equal_tensor(want_y, y)) << "forward b=" << b << " " << width;
+      const std::vector<tensor> grads = op->backward(g, in, y);
+      ASSERT_EQ(grads.size(), 3u);
+      EXPECT_EQ(grads[0].shape(), x.shape());
+      EXPECT_TRUE(bits_equal_tensor(want_gx, grads[0])) << "dX b=" << b << " " << width;
+      EXPECT_TRUE(bits_equal_tensor(want_gw, grads[1])) << "dW b=" << b << " " << width;
+      EXPECT_TRUE(bits_equal_tensor(want_gb, grads[2])) << "db b=" << b << " " << width;
+    };
+    {
+      serial_guard guard;
+      check("PELTA_THREADS=1");
+    }
+    check("PELTA_THREADS=" + std::to_string(parallel_thread_count()));
+  }
 }
 
 // Satellite: elementwise zip/unary now dispatch through the pool above a

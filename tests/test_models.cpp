@@ -1,11 +1,14 @@
 // Model zoo: construction, forward shapes, frontier declarations, training.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include "data/dataset.h"
 #include "models/ensemble.h"
 #include "models/trainer.h"
 #include "models/zoo.h"
 #include "tensor/ops.h"
+#include "tensor/parallel.h"
 
 namespace pelta::models {
 namespace {
@@ -95,6 +98,46 @@ TEST(Vit, RejectsWrongInputShape) {
   vit_model m{tiny_vit()};
   rng g{5};
   EXPECT_THROW(m.forward(tensor::rand_uniform(g, {1, 3, 8, 8}), ad::norm_mode::eval), error);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PELTA_TEST_SANITIZED_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PELTA_TEST_SANITIZED_ALLOCATOR 1
+#endif
+#endif
+
+// The heap policy (tensor/scratch.cpp) keeps the memory a forward frees
+// mapped, so the next batch does not page-fault it back in: without it a
+// steady-state batch-32 forward took about 430 minor faults at widths 1
+// and 2.
+TEST(Vit, SteadyStateBatchForwardDoesNotPageFault) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "the heap policy is a glibc mallopt setting";
+#elif defined(PELTA_TEST_SANITIZED_ALLOCATOR)
+  GTEST_SKIP() << "sanitizer allocators ignore mallopt";
+#else
+  task_spec task = tiny_task();
+  task.classes = 10;
+  const auto model = make_vit_b16_sim(task);
+  rng gen{17};
+  const tensor images = tensor::randn(gen, {32, 3, 16, 16});
+  const auto minor_faults = [] {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return static_cast<double>(u.ru_minflt);
+  };
+  for (const int width : {1, 2}) {
+    const concurrency_guard guard{width};
+    for (int i = 0; i < 3; ++i) (void)model->forward(images, ad::norm_mode::eval);
+    constexpr int k_forwards = 4;
+    const double before = minor_faults();
+    for (int i = 0; i < k_forwards; ++i) (void)model->forward(images, ad::norm_mode::eval);
+    const double per_forward = (minor_faults() - before) / k_forwards;
+    EXPECT_LT(per_forward, 16.0) << "PELTA_THREADS=" << width;
+  }
+#endif
 }
 
 TEST(Resnet, ForwardShapesBothFlavors) {
