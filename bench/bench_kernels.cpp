@@ -323,7 +323,6 @@ int main() {
     for (const result& r : results) {
       gemm.push(pelta::bench::json::object()
                     .field("name", r.s.name)
-                    .field("gated", &r == by_flops[0] || &r == by_flops[1])
                     .field("m", r.s.m)
                     .field("k", r.s.k)
                     .field("n", r.s.n)

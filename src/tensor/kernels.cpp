@@ -17,8 +17,8 @@
 //     rounding sequence, which keeps full strips, tails, and any parallel
 //     row split bit-identical.
 //   * Packing: B strips are copied contiguously (kc x SW) from the thread's
-//     scratch arena once A is tall enough to reuse them; a short A reads
-//     full strips in place. A ragged column edge (n % SW) is always packed
+//     scratch arena once A is tall enough to reuse them (k_pack_rows, a
+//     measured crossover); a short A reads full strips in place. A ragged column edge (n % SW) is always packed
 //     zero-padded, and a full-width strip runs over it, loading and storing
 //     only the real columns: pad lanes are never stored and the real columns
 //     see the identical operation sequence. The transposed-B entry point
@@ -54,10 +54,18 @@ constexpr int VL = k_gemm_lanes;        // lanes per vector
 constexpr std::int64_t KC = 256;        // k-block: a packed B strip is KC*SW floats
 constexpr std::int64_t NC = 256;        // columns per packed B panel (KC*NC = 256 KB)
 constexpr std::int64_t MC = 64;         // rows per A block swept over one panel
-// Above this many rows a B strip is reused by enough row tiles to pay for
-// packing it contiguously (which also dodges the L1 set aliasing of a
-// power-of-two row stride); below it full strips are read in place.
-constexpr std::int64_t k_pack_rows = 4 * MR;
+// Above this many rows of A, full B strips are packed contiguously (which
+// also dodges the L1 set aliasing of a power-of-two row stride); at or
+// below it they are read in place. Measured as single-thread time, always
+// packing over always reading in place, on 8 (k, n) operand shapes from
+// 32x32 to 144x1024 (4 vCPU x86-64 host):
+//   * every tier, <= 8 rows: packing is 1.1-2.9x slower (1 row: 2.0-2.9x);
+//   * SSE2 (portable): packing is 0.97-1.23x from 12 to 32 rows (one
+//     outlier, 8x17 at 16 rows, read 0.78) and within +-6% above;
+//   * AVX2 / AVX-512: packing wins from about 16 rows on a B that outgrows
+//     L1 (144x1024: 0.58-0.90) and still loses 1.05-1.3x on one that fits
+//     (32x32), so the crossover is 16 rows.
+constexpr std::int64_t k_pack_rows = VL == 4 ? 32 : 16;
 
 using i32v = std::int32_t __attribute__((vector_size(4 * VL)));
 

@@ -21,7 +21,11 @@ namespace {
 // PELTA_THREADS 1 and 2). Keeping up to k_heap_trim_threshold of free heap
 // top mapped brings that to about zero. Peak RSS barely moves: the memory
 // kept is memory an earlier batch already touched. The scratch arena covers
-// kernel workspaces; this covers the tensors themselves.
+// kernel workspaces; this covers the tensors themselves. Setting the trim
+// threshold also turns off glibc's dynamic mmap threshold, fixing it at its
+// 128 KiB default: a larger request that the retained heap top cannot serve
+// is mmapped and unmapped every time. Large tensors therefore rely on the
+// retained top, and the setting applies to any program linking the library.
 constexpr int k_heap_trim_threshold = 256 << 20;
 
 #if defined(__GLIBC__)

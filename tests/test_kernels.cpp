@@ -59,16 +59,17 @@ TEST(BlockedGemm, BitEqualsReferenceOnEdgeShapes) {
   rng gen{41};
   // Every combination straddling the register strip: empty, single,
   // strip-1, strip, strip+1 for both MR (rows) and NR (columns), two strips,
-  // rows on both sides of the B-packing threshold (16) and of the A block
-  // (64), columns on both sides of the packed panel (256), depths on both
-  // sides of the k-block (256), plus non-multiples.
+  // rows on both sides of the B-packing threshold (16 or 32 by ISA) and of
+  // the A block (64), columns on both sides of the packed panel (256) and
+  // a full strip past it, depths on both sides of the k-block (256), plus
+  // non-multiples.
   constexpr auto mr = static_cast<std::int64_t>(k_gemm_mr);
   constexpr auto nr = static_cast<std::int64_t>(k_gemm_nr);
-  const std::vector<std::int64_t> row_dims{0, 1, 3, 4, 5, 11, 16, 17, 33, 70};
+  const std::vector<std::int64_t> row_dims{0, 1, 3, 4, 5, 11, 16, 17, 32, 33, 70};
   const std::vector<std::int64_t> k_dims{0, 1, 2, 7, 19, 257};
   const std::vector<std::int64_t> col_dims{0,      1,      3,      mr - 1, 4,  5,  15, nr - 1, nr,
                                            nr + 1, 17,     37,     2 * nr - 1, 2 * nr,
-                                           2 * nr + 1, 64, 65, 263};
+                                           2 * nr + 1, 64, 65, 263, 256 + nr + 1};
   for (const bool zero_rows : {false, true})
     for (std::int64_t m : row_dims)
       for (std::int64_t k : k_dims)
