@@ -17,7 +17,7 @@
 //     zero duplicated, with the kill provably catching work in flight;
 //   * bits: every logits row of every fleet size must match the
 //     single-server serving path bit for bit (batch-size invariance plus
-//     the shared exec.h gather/scatter path).
+//     the shared exec::run_batches executor).
 //
 //   PELTA_CLUSTER_REQUESTS=256 PELTA_CLUSTER_ROUNDS=3 ./bench_cluster
 //   PELTA_CLUSTER_MIN_SCALE=6      simulated scale gate at 8 replicas

@@ -37,9 +37,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "bench/common.h"
+#include "models/compiler.h"
 #include "models/mlp.h"
 #include "models/vit.h"
 #include "serve/server.h"
@@ -89,8 +91,9 @@ struct sweep_point {
   double sim_p95_ms = 0.0;
 };
 
-// The quantized-backend leg: fp32 model_backend vs serve::quantized_backend
-// over the same workload, on a chain-compilable MLP victim (the ViT above is
+// The quantized leg: the fp32 MLP vs its int8 compilation
+// (models::quantize_model), both served through serve::model_backend over the
+// same workload, on a chain-compilable MLP victim (the ViT above is
 // not chain-shaped). The simulated clock has no int8 notion of its own, so
 // the quantized leg's compute_ns_per_sample is the fp32 constant scaled by
 // the MEASURED per-forward kernel ratio.
@@ -269,9 +272,12 @@ int main() {
                   sizeof(float) * static_cast<std::size_t>(px));
 
     // Default keep-fp32 policy: the shield-frontier prefix stays fp32.
-    serve::quantized_backend qbackend{mlp, calib};
-    quant_leg.stages_quantized = qbackend.report().stages_quantized;
-    quant_leg.stages_fp32 = qbackend.report().stages_fp32;
+    models::quantize_report qreport;
+    const std::unique_ptr<models::quantized_model> qmodel =
+        models::quantize_model(mlp, calib, {}, &qreport);
+    serve::model_backend qbackend{*qmodel};
+    quant_leg.stages_quantized = qreport.stages_quantized;
+    quant_leg.stages_fp32 = qreport.stages_fp32;
 
     // Measured per-forward kernel ratio, interleaved best-of like every
     // other wall number here; it prices the quantized simulated clock.
@@ -282,7 +288,7 @@ int main() {
         models::predict_logits(mlp, calib);
         fp32_best = std::min(fp32_best, seconds_since(t0));
         t0 = std::chrono::steady_clock::now();
-        models::predict_logits(qbackend.model(), calib);
+        models::predict_logits(*qmodel, calib);
         int8_best = std::min(int8_best, seconds_since(t0));
       }
       quant_leg.kernel_ratio = int8_best / fp32_best;
@@ -317,7 +323,7 @@ int main() {
           for (std::int64_t i = 0; i < n; ++i) {
             const tensor& got = report.results[static_cast<std::size_t>(i)].logits;
             const tensor want = models::predict_logits(
-                qbackend.model(),
+                *qmodel,
                 workload[static_cast<std::size_t>(i)].image.reshape(shape_t{1, 3, 16, 16}));
             if (got.numel() != want.numel() ||
                 std::memcmp(got.data().data(), want.data().data(),

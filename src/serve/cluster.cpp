@@ -458,9 +458,11 @@ cluster::cluster(shielded_backend& backend, cluster_config config)
     : backend_(&backend), config_(std::move(config)) {}
 
 cluster_report cluster::run(const std::vector<classify_request>& workload) {
+  serving_report header = exec::make_report_header(workload);
   cluster_report report;
-  report.requests = static_cast<std::int64_t>(workload.size());
-  report.results.resize(workload.size());
+  report.requests = header.requests;
+  report.results = std::move(header.results);
+  report.first_submit_ns = header.first_submit_ns;
 
   std::vector<double> stamps;
   std::vector<std::int64_t> ids;
@@ -472,33 +474,28 @@ cluster_report cluster::run(const std::vector<classify_request>& workload) {
   }
   report.plan = plan_cluster(config_, stamps, ids);
 
-  if (!workload.empty()) {
-    report.first_submit_ns = workload.front().submit_ns;
-    for (const classify_request& r : workload)
-      report.first_submit_ns = std::min(report.first_submit_ns, r.submit_ns);
-  }
-
   const std::int64_t slots = report.plan.slots;
-  std::vector<std::vector<std::size_t>> slot_batches(static_cast<std::size_t>(slots));
+  std::vector<std::vector<exec::batch_ref>> slot_batches(static_cast<std::size_t>(slots));
   for (std::size_t b = 0; b < report.plan.batches.size(); ++b) {
     const planned_cluster_batch& pb = report.plan.batches[b];
     if (pb.aborted) continue;
-    slot_batches[static_cast<std::size_t>(pb.replica)].push_back(b);
+    slot_batches[static_cast<std::size_t>(pb.replica)].push_back({b, &pb.batch});
   }
 
   report.replicas.resize(static_cast<std::size_t>(slots));
   for (std::int64_t s = 0; s < slots; ++s)
     report.replicas[static_cast<std::size_t>(s)].slot = s;
 
-  const std::int64_t classes = backend_->num_classes();
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(slots));
 
   // One pool task per replica slot. Each task owns its replica's enclave and
-  // hotcall session and walks its batches in plan order — the per-replica
-  // equivalent of server::execute_sequential, through the SAME exec.h
-  // gather/scatter path. Tasks write disjoint result rows (each request has
-  // exactly one surviving batch), so no synchronization is needed; the
-  // order-sensitive totals commit in slot order after the join.
+  // hotcall session and runs its batches in plan order through the same
+  // exec::run_batches as the single server, with the replica's own
+  // simulated pipeline clock and the MEASURED enclave charge folded in (the
+  // plan's finish stamps used the pure model). Tasks write disjoint result
+  // rows (each request has exactly one surviving batch), so no
+  // synchronization is needed; the order-sensitive totals commit in slot
+  // order after the join.
   std::vector<task_future> futures(static_cast<std::size_t>(slots));
   for (std::int64_t s = 0; s < slots; ++s) {
     if (slot_batches[static_cast<std::size_t>(s)].empty()) continue;
@@ -507,58 +504,14 @@ cluster_report cluster::run(const std::vector<classify_request>& workload) {
       try {
         tee::enclave enclave;
         enclave_session session{enclave};
-        double busy_until_ns = 0.0;
-        for (std::size_t b : slot_batches[static_cast<std::size_t>(s)]) {
-          const planned_cluster_batch& pb = report.plan.batches[b];
-          const planned_batch& batch = pb.batch;
-          const std::int64_t size = static_cast<std::int64_t>(batch.members.size());
-
-          std::vector<std::int64_t> batch_ids;
-          batch_ids.reserve(batch.members.size());
-          for (std::size_t m : batch.members) batch_ids.push_back(workload[m].id);
-          const tensor model_batch = exec::gather_batch(workload, batch.members, config_.server);
-
-          session.begin_batch();
-          shielded_backend::batch_stats stats;
-          tensor logits;
-          try {
-            logits = backend_->run_batch(model_batch, batch_ids, session.port(), &stats);
-          } catch (...) {
-            session.end_batch();  // the bracket must close or the session wedges
-            throw;
-          }
-          const enclave_session::batch_charge charge = session.end_batch();
-          PELTA_CHECK_MSG(
-              logits.ndim() == 2 && logits.size(0) == size && logits.size(1) == classes,
-              "backend returned logits " << to_string(logits.shape()) << " for batch of "
-                                         << size);
-
-          // Same accounting as the single server, with the replica's own
-          // pipeline clock and the MEASURED enclave charge folded in (the
-          // plan's finish stamps used the pure model; execution refines).
-          const double exec_start_ns = std::max(batch.close_ns, busy_until_ns);
-          const double compute_ns = config_.server.batch_setup_ns +
-                                    config_.server.compute_ns_per_sample *
-                                        static_cast<double>(size);
-          const double finish_ns = exec_start_ns + charge.enclave_ns + compute_ns;
-          busy_until_ns = finish_ns;
-
-          batch_record rec;
-          rec.request_ids = batch_ids;
-          rec.close_ns = batch.close_ns;
-          rec.exec_start_ns = exec_start_ns;
-          rec.enclave_ns = charge.enclave_ns;
-          rec.compute_ns = compute_ns;
-          rec.hotcalls = charge.hotcalls;
-          rep.batches.push_back(std::move(rec));
-          rep.requests += size;
-          rep.enclave_ns += charge.enclave_ns;
-          rep.hotcalls += charge.hotcalls;
-          rep.last_finish_ns = finish_ns;
-
-          exec::scatter_batch(report.results, workload, batch, b, logits, stats, charge,
-                              exec_start_ns, compute_ns, finish_ns);
-        }
+        exec::batch_run run =
+            exec::run_batches(workload, slot_batches[static_cast<std::size_t>(s)], *backend_,
+                              session, config_.server, report.results);
+        rep.batches = std::move(run.batches);
+        rep.requests = run.requests;
+        rep.enclave_ns = run.enclave_ns;
+        rep.hotcalls = run.hotcalls;
+        rep.last_finish_ns = run.last_finish_ns;
       } catch (...) {
         errors[static_cast<std::size_t>(s)] = std::current_exception();
       }

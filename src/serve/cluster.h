@@ -19,14 +19,16 @@
 //      (submit_ns, id) order. The plan fixes every decision: which replica
 //      serves which request, every batch's membership and close stamp,
 //      which batches a kill aborts, when the autoscaler acts.
-//   2. cluster::run — executes the planned batches, one task per replica
-//      on the PR 6 pool primitives (submit_task), each replica with its
-//      OWN tee::enclave + enclave_session and the shared exec.h
-//      gather/scatter helpers. Replica tasks write disjoint result rows;
-//      order-sensitive totals commit in replica order after the join — so
-//      the report is bit-identical at every PELTA_THREADS, and every request's
-//      logits row is bit-identical to the single-server path (batch-size
-//      invariance + one shared gather/scatter code path).
+//   2. cluster::run — executes the planned batches, one pool task
+//      (submit_task) per replica, each replica with its OWN tee::enclave +
+//      enclave_session, running its batches through exec::run_batches —
+//      the same batch executor as the single server. Tasks submitted from
+//      inside a task run inline, so a replica executes its batches as the
+//      sequential chain; the parallelism is across replicas. Replica tasks
+//      write disjoint result rows; order-sensitive totals commit in replica
+//      order after the join — so the report is bit-identical at every
+//      PELTA_THREADS, and every request's logits row is bit-identical to
+//      the single-server path (batch-size invariance + one shared executor).
 //
 // Routing LOAD is a plan-time model: requests routed to a replica and not
 // yet finished under the modeled batch cost (batch_setup_ns +

@@ -6,18 +6,8 @@
 
 #include "serve/exec.h"
 #include "shield/masked_view.h"
-#include "tensor/ops.h"
-#include "tensor/parallel.h"
 
 namespace pelta::serve {
-
-// gather_batch / scatter_batch / make_report_header moved to serve/exec.h:
-// the cluster runtime executes the same per-batch chain on every replica,
-// and sharing the helpers is what keeps cluster and single-server results
-// bit-identical — one code path, one bit layout.
-using exec::gather_batch;
-using exec::make_report_header;
-using exec::scatter_batch;
 
 // ---- backends ---------------------------------------------------------------
 
@@ -39,17 +29,6 @@ tensor model_backend::run_batch(const tensor& images, const std::vector<std::int
     stats->shield_bytes = view.report().total_bytes();
   }
   return fp.graph.value(fp.logits);
-}
-
-quantized_backend::quantized_backend(const models::model& source,
-                                     const tensor& calibration_images,
-                                     models::quantize_options opts, std::string key_prefix)
-    : model_{models::quantize_model(source, calibration_images, opts, &report_)},
-      inner_{*model_, std::move(key_prefix)} {}
-
-tensor quantized_backend::run_batch(const tensor& images, const std::vector<std::int64_t>& ids,
-                                    tee::secure_store& sink, batch_stats* stats) {
-  return inner_.run_batch(images, ids, sink, stats);
 }
 
 ensemble_backend::ensemble_backend(const models::random_selection_ensemble& ensemble,
@@ -121,241 +100,23 @@ serving_report server::run(const std::vector<classify_request>& workload) {
     submit_ns[i] = workload[i].submit_ns;
     ids[i] = workload[i].id;
   }
-  return execute(workload, plan_batches(submit_ns, ids, config_.policy));
+  const batch_plan plan = plan_batches(submit_ns, ids, config_.policy);
+
+  std::vector<exec::batch_ref> batches;
+  batches.reserve(plan.batches.size());
+  for (std::size_t b = 0; b < plan.batches.size(); ++b) batches.push_back({b, &plan.batches[b]});
+  serving_report report = exec::make_report_header(workload);
+  exec::batch_run run =
+      exec::run_batches(workload, batches, *backend_, session_, config_, report.results);
+  report.batches = std::move(run.batches);
+  report.last_finish_ns = run.last_finish_ns;
+  report.enclave_ns = run.enclave_ns;
+  report.hotcalls = run.hotcalls;
+  return report;
 }
 
 serving_report server::drain() { return run(canonicalize(queue_.drain())); }
 
 serving_report server::drain_wait() { return run(canonicalize(queue_.wait_drain())); }
-
-serving_report server::execute(const std::vector<classify_request>& requests,
-                               const batch_plan& plan) {
-  std::int64_t depth = config_.pipeline_depth;
-  if (depth <= 0)
-    depth = std::min<std::int64_t>(4, std::max<std::int64_t>(2, parallel_thread_count()));
-  if (depth <= 1 || plan.batches.size() <= 1) return execute_sequential(requests, plan);
-  return execute_pipelined(requests, plan, depth);
-}
-
-serving_report server::execute_sequential(const std::vector<classify_request>& requests,
-                                          const batch_plan& plan) {
-  serving_report report = make_report_header(requests);
-  if (requests.empty()) return report;
-
-  const std::int64_t classes = backend_->num_classes();
-  double busy_until_ns = 0.0;
-
-  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-    const planned_batch& batch = plan.batches[b];
-    const std::int64_t size = static_cast<std::int64_t>(batch.members.size());
-
-    std::vector<std::int64_t> ids;
-    ids.reserve(batch.members.size());
-    for (std::size_t m : batch.members) ids.push_back(requests[m].id);
-    const tensor model_batch = gather_batch(requests, batch.members, config_);
-
-    // One forward + one shield application for the whole batch; the session
-    // meters exactly what this batch charged the TEE cost model. A backend
-    // throw (e.g. enclave capacity) must still close the accounting bracket
-    // or the session would wedge on the next batch.
-    session_.begin_batch();
-    shielded_backend::batch_stats stats;
-    tensor logits;
-    try {
-      logits = backend_->run_batch(model_batch, ids, session_.port(), &stats);
-    } catch (...) {
-      session_.end_batch();
-      throw;
-    }
-    const enclave_session::batch_charge charge = session_.end_batch();
-    PELTA_CHECK_MSG(logits.ndim() == 2 && logits.size(0) == size && logits.size(1) == classes,
-                    "backend returned logits " << to_string(logits.shape()) << " for batch of "
-                                               << size);
-
-    // Simulated-clock accounting: the server is a single pipeline — a batch
-    // starts when it closed AND the previous batch finished.
-    const double exec_start_ns = std::max(batch.close_ns, busy_until_ns);
-    const double compute_ns =
-        config_.batch_setup_ns + config_.compute_ns_per_sample * static_cast<double>(size);
-    const double finish_ns = exec_start_ns + charge.enclave_ns + compute_ns;
-    busy_until_ns = finish_ns;
-    report.last_finish_ns = finish_ns;
-    report.enclave_ns += charge.enclave_ns;
-    report.hotcalls += charge.hotcalls;
-
-    batch_record rec;
-    rec.request_ids = ids;
-    rec.close_ns = batch.close_ns;
-    rec.exec_start_ns = exec_start_ns;
-    rec.enclave_ns = charge.enclave_ns;
-    rec.compute_ns = compute_ns;
-    rec.hotcalls = charge.hotcalls;
-    report.batches.push_back(std::move(rec));
-
-    scatter_batch(report.results, requests, batch, b, logits, stats, charge, exec_start_ns,
-                  compute_ns, finish_ns);
-  }
-  return report;
-}
-
-serving_report server::execute_pipelined(const std::vector<classify_request>& requests,
-                                         const batch_plan& plan, std::int64_t depth) {
-  serving_report report = make_report_header(requests);
-  if (requests.empty()) return report;
-
-  const std::int64_t classes = backend_->num_classes();
-  double busy_until_ns = 0.0;
-  const std::size_t total = plan.batches.size();
-  report.batches.reserve(total);
-
-  // One slot per in-flight batch. `depth` gathers run ahead of the
-  // serialized enclave stage; the +1 spare lets the slot's previous
-  // occupant finish its scatter while the next gather is already needed.
-  struct slot {
-    std::size_t batch = 0;
-    task_future gather;
-    task_future scatter;
-    tensor model_batch;
-    tensor logits;
-    std::vector<std::int64_t> ids;
-    shielded_backend::batch_stats stats;
-    enclave_session::batch_charge charge;
-    double exec_start_ns = 0.0;
-    double compute_ns = 0.0;
-    double finish_ns = 0.0;
-  };
-  std::vector<slot> ring(std::min(static_cast<std::size_t>(depth) + 1, total));
-
-  // A failed stage stops the pipeline; after every in-flight task has
-  // retired, the error the strictly sequential chain would have hit first
-  // — smallest batch, earliest stage — is the one rethrown.
-  enum : int { gather_stage = 0, enclave_stage = 1, scatter_stage = 2 };
-  struct failure {
-    std::size_t batch;
-    int stage;
-    std::exception_ptr error;
-  };
-  std::vector<failure> failures;
-  const auto note = [&failures](std::size_t batch, int stage) {
-    failures.push_back({batch, stage, std::current_exception()});
-  };
-
-  const auto submit_gather = [&](std::size_t b) {
-    slot& s = ring[b % ring.size()];
-    s.batch = b;
-    s.gather = submit_task([this, &requests, &plan, &s] {
-      s.model_batch = gather_batch(requests, plan.batches[s.batch].members, config_);
-    });
-  };
-  std::size_t next_gather = std::min(static_cast<std::size_t>(depth), total);
-  for (std::size_t b = 0; b < next_gather; ++b) submit_gather(b);
-
-  for (std::size_t b = 0; b < total && failures.empty(); ++b) {
-    slot& s = ring[b % ring.size()];
-    const planned_batch& batch = plan.batches[b];
-    const std::int64_t size = static_cast<std::int64_t>(batch.members.size());
-    try {
-      s.gather.get();
-    } catch (...) {
-      note(b, gather_stage);
-      break;
-    }
-
-    s.ids.clear();
-    s.ids.reserve(batch.members.size());
-    for (std::size_t m : batch.members) s.ids.push_back(requests[m].id);
-
-    // The serialized stage: the session brackets must close even when the
-    // backend throws mid-pipeline, or the next batch (or the next run)
-    // would wedge on a dangling begin_batch.
-    session_.begin_batch();
-    try {
-      s.logits = backend_->run_batch(s.model_batch, s.ids, session_.port(), &s.stats);
-    } catch (...) {
-      session_.end_batch();
-      note(b, enclave_stage);
-      break;
-    }
-    s.charge = session_.end_batch();
-    try {
-      PELTA_CHECK_MSG(s.logits.ndim() == 2 && s.logits.size(0) == size &&
-                          s.logits.size(1) == classes,
-                      "backend returned logits " << to_string(s.logits.shape())
-                                                 << " for batch of " << size);
-    } catch (...) {
-      note(b, enclave_stage);
-      break;
-    }
-
-    // Commit strictly in batch order: the simulated single-pipeline clock,
-    // the session accounting and the batch records are identical to the
-    // sequential chain no matter how the wall stages overlapped.
-    s.exec_start_ns = std::max(batch.close_ns, busy_until_ns);
-    s.compute_ns =
-        config_.batch_setup_ns + config_.compute_ns_per_sample * static_cast<double>(size);
-    s.finish_ns = s.exec_start_ns + s.charge.enclave_ns + s.compute_ns;
-    busy_until_ns = s.finish_ns;
-    report.last_finish_ns = s.finish_ns;
-    report.enclave_ns += s.charge.enclave_ns;
-    report.hotcalls += s.charge.hotcalls;
-
-    batch_record rec;
-    rec.request_ids = s.ids;
-    rec.close_ns = batch.close_ns;
-    rec.exec_start_ns = s.exec_start_ns;
-    rec.enclave_ns = s.charge.enclave_ns;
-    rec.compute_ns = s.compute_ns;
-    rec.hotcalls = s.charge.hotcalls;
-    report.batches.push_back(std::move(rec));
-
-    s.scatter = submit_task([&report, &requests, &plan, &s] {
-      scatter_batch(report.results, requests, plan.batches[s.batch], s.batch, s.logits,
-                    s.stats, s.charge, s.exec_start_ns, s.compute_ns, s.finish_ns);
-    });
-
-    if (next_gather < total) {
-      slot& n = ring[next_gather % ring.size()];
-      // The slot's previous batch left the enclave long ago; only its
-      // scatter may still own the slot's tensors. Wait it out, then reuse.
-      if (n.scatter.valid()) {
-        try {
-          n.scatter.get();
-        } catch (...) {
-          note(n.batch, scatter_stage);
-          break;
-        }
-      }
-      submit_gather(next_gather++);
-    }
-  }
-
-  // Join every task still in flight — they touch slot and report memory —
-  // before the report (or an exception) leaves this frame.
-  for (slot& s : ring) {
-    if (s.gather.valid()) {
-      try {
-        s.gather.get();
-      } catch (...) {
-        note(s.batch, gather_stage);
-      }
-    }
-    if (s.scatter.valid()) {
-      try {
-        s.scatter.get();
-      } catch (...) {
-        note(s.batch, scatter_stage);
-      }
-    }
-  }
-  if (!failures.empty()) {
-    const auto first = std::min_element(failures.begin(), failures.end(),
-                                        [](const failure& a, const failure& b) {
-                                          return a.batch != b.batch ? a.batch < b.batch
-                                                                    : a.stage < b.stage;
-                                        });
-    std::rethrow_exception(first->error);
-  }
-  return report;
-}
 
 }  // namespace pelta::serve

@@ -15,15 +15,14 @@
 //   * WALL-CLOCK throughput is measured outside, by bench/bench_serving,
 //     which gates batched >= serial wall throughput and >= 3x simulated.
 //
-// Wall execution is PIPELINED: up to `pipeline_depth` batches are in
-// flight at once, with gather/preprocess and scatter/argmax overlapping
-// across batches as pool tasks while the enclave forward+shield stage
-// stays serialized in batch order through the single enclave_session (it
-// is stateful — begin_batch/end_batch brackets never interleave). Results
-// are committed strictly in batch order (the replay-in-order rule
-// fl::federation::run_round also follows), so every report field is
-// bit-identical to the strictly sequential chain — only wall-clock
-// changes; the simulated-clock model is untouched.
+// Wall execution is the batch executor exec::run_batches (exec.h), the same
+// loop every cluster replica runs: up to `pipeline_depth` batches are in
+// flight, gather/preprocess and scatter/argmax overlap across batches as
+// pool tasks, and the enclave forward+shield stage stays serialized in
+// batch order through the single enclave_session (it is stateful —
+// begin_batch/end_batch brackets never interleave). Results commit strictly
+// in batch order, so every report field is bit-identical to the strictly
+// sequential chain (depth 1) — only wall-clock changes.
 //
 // Determinism contract: batches execute in planned order, each request's
 // logits row is bit-identical to a batch-1 forward of that sample, work
@@ -33,12 +32,10 @@
 // composition, thread count, or wall-clock.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "defenses/preprocessor.h"
-#include "models/compiler.h"
 #include "models/ensemble.h"
 #include "models/model.h"
 #include "serve/batcher.h"
@@ -82,32 +79,6 @@ private:
   std::string key_prefix_;
 };
 
-/// One model compiled to int8 at construction (models/compiler.h):
-/// calibrates activation scales over `calibration_images`, keeps the
-/// shield-frontier prefix fp32 by default (override via `opts` — the
-/// placement sweep's knob), then serves exactly like model_backend: same
-/// shield application, same simulated-clock accounting; only the wall-clock
-/// forward runs the fused int8 kernels.
-class quantized_backend final : public shielded_backend {
-public:
-  quantized_backend(const models::model& source, const tensor& calibration_images,
-                    models::quantize_options opts = {}, std::string key_prefix = "serve/");
-
-  std::int64_t num_classes() const override { return inner_.num_classes(); }
-  tensor run_batch(const tensor& images, const std::vector<std::int64_t>& ids,
-                   tee::secure_store& sink, batch_stats* stats) override;
-
-  /// The compiled model (e.g. for accuracy checks against the source).
-  const models::quantized_model& model() const { return *model_; }
-  /// What the compile pass quantized vs kept fp32.
-  const models::quantize_report& report() const { return report_; }
-
-private:
-  models::quantize_report report_;
-  std::unique_ptr<models::quantized_model> model_;  ///< must outlive inner_
-  model_backend inner_;
-};
-
 /// Random-selection ensemble (MULDEF policy): each request's member is
 /// drawn from rng{seed}.fork(request id); the batch is partitioned by
 /// member and each member runs one batched forward + shield over its
@@ -142,7 +113,7 @@ struct server_config {
   const defenses::preprocessor_chain* chain = nullptr;
   std::uint64_t chain_seed = 0x5e17e;
 
-  /// Max batches in flight in the wall-clock pipelined executor: gathers
+  /// Max batches in flight in the batch executor (exec.h): gathers
   /// run up to this many batches ahead of the serialized enclave stage
   /// (bounding the gathered-tensor memory), scatters trail behind it.
   /// 1 = the strictly sequential gather -> enclave -> scatter chain;
@@ -204,13 +175,6 @@ public:
   const server_config& config() const { return config_; }
 
 private:
-  serving_report execute(const std::vector<classify_request>& requests,
-                         const batch_plan& plan);
-  serving_report execute_sequential(const std::vector<classify_request>& requests,
-                                    const batch_plan& plan);
-  serving_report execute_pipelined(const std::vector<classify_request>& requests,
-                                   const batch_plan& plan, std::int64_t depth);
-
   shielded_backend* backend_;
   server_config config_;
   enclave_session session_;

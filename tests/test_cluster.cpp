@@ -11,7 +11,10 @@
 //     scale phases, never tick-to-tick flapping;
 //   * execution is bit-deterministic — pooled (PELTA_THREADS=8) and
 //     forced-serial runs produce byte-identical reports, and every logits
-//     row matches the single-server path bit for bit.
+//     row matches the single-server path bit for bit;
+//   * a replica failure surfaces cleanly — the first failing slot's error
+//     rethrows after every replica joined, and the cluster serves the next
+//     run exactly like a fresh one.
 // The static initializer pins PELTA_THREADS=8 (without overriding an
 // explicit environment setting) so replica tasks really cross threads.
 #include <gtest/gtest.h>
@@ -21,6 +24,8 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "models/vit.h"
@@ -400,6 +405,72 @@ TEST_F(ClusterTest, ChaosRunServesEveryRequestExactlyOnce) {
   std::int64_t total = 0;
   for (const serve::replica_report& rep : report.replicas) total += rep.requests;
   EXPECT_EQ(total, static_cast<std::int64_t>(reqs.size()));
+}
+
+// Throws from inside a replica whenever its batch holds a poisoned request
+// id. Keyed by id rather than by a shared call count, so which batch fails
+// does not depend on how replica tasks interleave.
+class poisoned_backend final : public serve::shielded_backend {
+public:
+  poisoned_backend(serve::shielded_backend& inner, std::set<std::int64_t> poisoned)
+      : inner_{&inner}, poisoned_{std::move(poisoned)} {}
+
+  std::int64_t num_classes() const override { return inner_->num_classes(); }
+  tensor run_batch(const tensor& images, const std::vector<std::int64_t>& ids,
+                   tee::secure_store& sink, batch_stats* stats) override {
+    for (const std::int64_t id : ids)
+      if (poisoned_.count(id) != 0) throw error{"poisoned request " + std::to_string(id)};
+    return inner_->run_batch(images, ids, sink, stats);
+  }
+
+private:
+  serve::shielded_backend* inner_;
+  std::set<std::int64_t> poisoned_;
+};
+
+TEST_F(ClusterTest, ReplicaFailureRethrowsAndLeavesTheClusterServiceable) {
+  const std::int64_t n = 36;
+  const std::vector<double> stamps = serve::make_poisson_arrivals(n, 5e5, 43);
+  const std::vector<serve::classify_request> reqs = make_requests(n, stamps);
+  const serve::cluster_config config = base_config(3);
+
+  // Poison one request on slot 1 and one on slot 2: both replicas fail,
+  // and the lower slot's error is the one rethrown.
+  std::vector<double> submit_ns;
+  std::vector<std::int64_t> ids;
+  for (const serve::classify_request& r : reqs) {
+    submit_ns.push_back(r.submit_ns);
+    ids.push_back(r.id);
+  }
+  const serve::cluster_plan plan = serve::plan_cluster(config, submit_ns, ids);
+  std::int64_t on_slot1 = -1;
+  std::int64_t on_slot2 = -1;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (plan.final_replica[i] == 1 && on_slot1 == -1) on_slot1 = reqs[i].id;
+    if (plan.final_replica[i] == 2 && on_slot2 == -1) on_slot2 = reqs[i].id;
+  }
+  ASSERT_NE(on_slot1, -1);
+  ASSERT_NE(on_slot2, -1);
+
+  serve::model_backend inner{model_};
+  poisoned_backend backend{inner, {on_slot1, on_slot2}};
+  serve::cluster fleet{backend, config};
+  try {
+    fleet.run(reqs);
+    FAIL() << "a poisoned batch did not surface";
+  } catch (const error& e) {
+    EXPECT_NE(std::string{e.what()}.find("poisoned request " + std::to_string(on_slot1)),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The same cluster serves a clean workload exactly like a fresh one.
+  std::vector<serve::classify_request> clean;
+  for (const serve::classify_request& r : reqs)
+    if (r.id != on_slot1 && r.id != on_slot2) clean.push_back(r);
+  const serve::cluster_report after_failure = fleet.run(clean);
+  serve::cluster fresh{backend, config};
+  expect_cluster_reports_identical(after_failure, fresh.run(clean));
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -608,6 +609,53 @@ TEST_F(ServeTest, MidPipelineBackendThrowKeepsSessionAndQueueConsistent) {
     EXPECT_EQ(pipe_totals.bytes_in, seq_totals.bytes_in);
     EXPECT_EQ(pipe_totals.enclave_ns, seq_totals.enclave_ns);
     expect_reports_identical(pipe_drained, seq_drained);
+  }
+}
+
+TEST_F(ServeTest, OneBatchDrainsAgreeAcrossWidthAndDepth) {
+  // The open-loop serving shape: one long-lived server whose every drain()
+  // holds 1-3 requests, so each run is a single batch through the
+  // executor's ring.
+  const std::vector<std::int64_t> drain_sizes = {1, 3, 2, 1, 1, 2, 3, 1};
+  std::vector<double> stamps;
+  for (std::size_t d = 0; d < drain_sizes.size(); ++d)
+    for (std::int64_t j = 0; j < drain_sizes[d]; ++j)
+      stamps.push_back(static_cast<double>(d) * 5e6 + static_cast<double>(j) * 1e5);
+  const std::vector<serve::classify_request> reqs =
+      make_requests(static_cast<std::int64_t>(stamps.size()), stamps);
+
+  const auto serve_drains = [&](int width, std::int64_t depth) {
+    concurrency_guard guard{width};
+    serve::server_config cfg;
+    cfg.policy = {32, 2e6};
+    cfg.pipeline_depth = depth;
+    tee::enclave enclave;
+    serve::model_backend backend{model_};
+    serve::server srv{backend, enclave, cfg};
+    std::vector<serve::serving_report> reports;
+    std::size_t next = 0;
+    for (const std::int64_t size : drain_sizes) {
+      for (std::int64_t j = 0; j < size; ++j) EXPECT_TRUE(srv.queue().push(reqs[next++]));
+      const std::int64_t batches_before = srv.session().accumulated().batches;
+      reports.push_back(srv.drain());
+      EXPECT_EQ(reports.back().requests, size);
+      EXPECT_EQ(reports.back().batches.size(), 1u);
+      EXPECT_EQ(srv.session().accumulated().batches, batches_before + 1);
+    }
+    return reports;
+  };
+
+  const std::vector<serve::serving_report> sequential = serve_drains(1, 1);
+  for (const int width : {1, 2}) {
+    for (const std::int64_t depth : {0, 1}) {
+      const std::vector<serve::serving_report> got = serve_drains(width, depth);
+      ASSERT_EQ(got.size(), sequential.size());
+      for (std::size_t d = 0; d < got.size(); ++d) {
+        SCOPED_TRACE("width " + std::to_string(width) + " depth " + std::to_string(depth) +
+                     " drain " + std::to_string(d));
+        expect_reports_identical(got[d], sequential[d]);
+      }
+    }
   }
 }
 
