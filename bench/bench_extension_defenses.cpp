@@ -39,7 +39,7 @@ int main() {
     // the defense's own inference-time randomness flips borderline samples
     // and the flip would be mis-attributed to the attacker.
     const defenses::defended_model dm{*victim, chain, chain.randomized() ? 5 : 1};
-    const float clean = attacks::defended_clean_accuracy(dm, ds, s.seed);
+    const float clean = dm.accuracy(ds.test_images(), ds.test_labels(), s.seed);
 
     attacks::defended_eval_config cfg;
     cfg.kind = attacks::attack_kind::pgd;

@@ -1,11 +1,8 @@
 #include "attacks/bpda.h"
 
-#include <atomic>
-
 #include "models/trainer.h"
 #include "models/zoo.h"
 #include "nn/optimizer.h"
-#include "tensor/parallel.h"
 
 namespace pelta::attacks {
 
@@ -64,37 +61,19 @@ robust_eval evaluate_transfer_attack(const models::model& victim,
   PELTA_CHECK_MSG(!candidates.empty(), "victim classifies no test sample correctly");
 
   const rng root{seed};
-  // Lock-free on purpose (lock discipline, docs/ARCHITECTURE.md): these are
-  // commutative-sum atomics incremented from parallel_for chunks — order
-  // cannot affect the integer totals, so no mutex / PELTA_GUARDED_BY is
-  // needed and fetch-add contention is the only synchronization.
-  std::atomic<std::int64_t> successes{0};
-  std::atomic<std::int64_t> total_queries{0};
-
-  parallel_for(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
+  return tally_parallel(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
     rng sample_rng = root.fork(static_cast<std::uint64_t>(i));
     (void)sample_rng.next_u64();
     auto oracle = make_clear_oracle(surrogate);  // white box on the surrogate
     const std::int64_t idx = candidates[static_cast<std::size_t>(i)];
-    pgd_config c;
-    c.eps = params.eps;
-    c.eps_step = params.eps_step;
-    c.steps = params.pgd_steps;
-    c.early_stop = false;  // surrogate success is not the goal; transfer is
-    const attack_result r = run_pgd(*oracle, ds.test_image(idx), ds.test_label(idx), c);
-    total_queries.fetch_add(r.queries, std::memory_order_relaxed);
+    // No early stop: surrogate success is not the goal; transfer is.
+    const attack_result r = run_attack(attack_kind::pgd, *oracle, ds.test_image(idx),
+                                       ds.test_label(idx), params, sample_rng,
+                                       /*early_stop=*/false);
     // Replay against the victim.
-    if (models::predict_one(victim, r.adversarial) != ds.test_label(idx))
-      successes.fetch_add(1, std::memory_order_relaxed);
+    return sample_outcome{models::predict_one(victim, r.adversarial) != ds.test_label(idx),
+                          r.queries};
   });
-
-  robust_eval out;
-  out.samples = static_cast<std::int64_t>(candidates.size());
-  out.attack_successes = successes.load();
-  out.robust_accuracy =
-      1.0f - static_cast<float>(out.attack_successes) / static_cast<float>(out.samples);
-  out.mean_queries = static_cast<double>(total_queries.load()) / static_cast<double>(out.samples);
-  return out;
 }
 
 }  // namespace pelta::attacks

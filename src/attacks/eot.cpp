@@ -1,9 +1,6 @@
 #include "attacks/eot.h"
 
-#include <atomic>
-
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 
 namespace pelta::attacks {
 
@@ -100,86 +97,21 @@ robust_eval evaluate_attack_defended(const defenses::defended_model& dm, const d
   const oracle_factory factory =
       defended_oracle_factory(inner_factory, dm.chain(), config.eot_samples);
 
-  // Lock-free on purpose (lock discipline, docs/ARCHITECTURE.md): these are
-  // commutative-sum atomics incremented from parallel_for chunks — order
-  // cannot affect the integer totals, so no mutex / PELTA_GUARDED_BY is
-  // needed and fetch-add contention is the only synchronization.
-  std::atomic<std::int64_t> successes{0};
-  std::atomic<std::int64_t> total_queries{0};
-  parallel_for(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
+  return tally_parallel(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
     rng sample_rng = root.fork(0x10000u + static_cast<std::uint64_t>(i));
     auto oracle = factory(sample_rng.next_u64());
     const std::int64_t idx = candidates[static_cast<std::size_t>(i)];
-    const tensor x0 = ds.test_image(idx);
     const std::int64_t label = ds.test_label(idx);
-
-    attack_result r;
-    switch (config.kind) {
-      case attack_kind::fgsm: {
-        fgsm_config c;
-        c.eps = config.params.eps;
-        r = run_fgsm(*oracle, x0, label, c);
-        break;
-      }
-      case attack_kind::pgd: {
-        pgd_config c;
-        c.eps = config.params.eps;
-        c.eps_step = config.params.eps_step;
-        c.steps = config.params.pgd_steps;
-        c.early_stop = false;  // success is judged by the defended model below
-        r = run_pgd(*oracle, x0, label, c);
-        break;
-      }
-      case attack_kind::mim: {
-        mim_config c;
-        c.eps = config.params.eps;
-        c.eps_step = config.params.eps_step;
-        c.steps = config.params.pgd_steps;
-        c.mu = config.params.mim_mu;
-        c.early_stop = false;
-        r = run_mim(*oracle, x0, label, c);
-        break;
-      }
-      case attack_kind::apgd: {
-        apgd_config c;
-        c.eps = config.params.eps;
-        c.max_queries = config.params.apgd_queries;
-        c.restarts = config.params.apgd_restarts;
-        c.rho = config.params.apgd_rho;
-        c.early_stop = false;
-        r = run_apgd(*oracle, x0, label, c, sample_rng);
-        break;
-      }
-      case attack_kind::cw: {
-        cw_config c;
-        c.confidence = config.params.cw_confidence;
-        c.eps_step = config.params.cw_step;
-        c.steps = config.params.cw_steps;
-        r = run_cw(*oracle, x0, label, c);
-        break;
-      }
-    }
+    // No early stop: success is judged by the defended model below, not by
+    // the EOT oracle's own prediction.
+    const attack_result r = run_attack(config.kind, *oracle, ds.test_image(idx), label,
+                                       config.params, sample_rng, /*early_stop=*/false);
 
     // Deployment check: the victim's device also applies the defense, on
     // randomness the attacker does not control.
     rng deploy = root.fork(0x20000u + static_cast<std::uint64_t>(i));
-    if (dm.predict_one(r.adversarial, deploy) != label)
-      successes.fetch_add(1, std::memory_order_relaxed);
-    total_queries.fetch_add(r.queries, std::memory_order_relaxed);
+    return sample_outcome{dm.predict_one(r.adversarial, deploy) != label, r.queries};
   });
-
-  robust_eval out;
-  out.samples = static_cast<std::int64_t>(candidates.size());
-  out.attack_successes = successes.load();
-  out.robust_accuracy =
-      1.0f - static_cast<float>(out.attack_successes) / static_cast<float>(out.samples);
-  out.mean_queries = static_cast<double>(total_queries.load()) / static_cast<double>(out.samples);
-  return out;
-}
-
-float defended_clean_accuracy(const defenses::defended_model& dm, const data::dataset& ds,
-                              std::uint64_t seed) {
-  return dm.accuracy(ds.test_images(), ds.test_labels(), seed);
 }
 
 }  // namespace pelta::attacks

@@ -52,9 +52,4 @@ robust_eval evaluate_attack_defended(const defenses::defended_model& dm, const d
                                      const defended_eval_config& config,
                                      const oracle_factory& inner_factory);
 
-/// Clean accuracy of the defended model over the test split (the defense's
-/// generalization cost — software defenses are not free).
-float defended_clean_accuracy(const defenses::defended_model& dm, const data::dataset& ds,
-                              std::uint64_t seed);
-
 }  // namespace pelta::attacks

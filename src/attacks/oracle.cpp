@@ -17,67 +17,74 @@ shape_t batched(const tensor& image) {
   return shape_t{1, image.size(0), image.size(1), image.size(2)};
 }
 
-// Forward + seeded backward shared by both oracles. When `label` >= 0 the
-// objective is cross-entropy at that label; otherwise `seed` is applied to
-// the logits directly.
-struct pass {
-  models::forward_pass fp;
-  float loss = 0.0f;
-  tensor logits;       // [classes]
-  std::int64_t predicted = -1;
-};
-
-pass run_pass(const models::model& m, const tensor& image, std::int64_t label,
-              const tensor* seed) {
-  pass p;
-  p.fp = m.forward(image.reshape(batched(image)), ad::norm_mode::eval);
-  const tensor& logits2d = p.fp.graph.value(p.fp.logits);
-  p.logits = logits2d.reshape({logits2d.size(1)});
-  p.predicted = ops::argmax(p.logits);
-
-  if (label >= 0) {
-    const ad::node_id labels = p.fp.graph.add_constant(tensor{shape_t{1}, {static_cast<float>(label)}});
-    const ad::node_id loss =
-        p.fp.graph.add_transform(ad::make_cross_entropy(), {p.fp.logits, labels}, "atk_loss");
-    p.loss = p.fp.graph.value(loss).item();
-    p.fp.graph.backward(loss);
-  } else {
-    PELTA_CHECK(seed != nullptr && seed->numel() == p.logits.numel());
-    p.loss = ops::dot(*seed, p.logits);
-    p.fp.graph.backward_from(p.fp.logits, seed->reshape(logits2d.shape()));
-  }
-  return p;
-}
-
-class clear_oracle final : public gradient_oracle {
+// The forward pass, seeded backward and result assembly shared by every
+// oracle over a local model copy. Subclasses decide only what the attacker
+// can read as ∇ₓ from the back-propagated graph.
+class model_oracle : public gradient_oracle {
 public:
-  explicit clear_oracle(const models::model& m) : model_{&m} {}
-
-  oracle_result query(const tensor& image, std::int64_t label) override {
-    return finish(run_pass(*model_, image, label, nullptr), image.shape());
+  oracle_result query(const tensor& image, std::int64_t label) final {
+    return run_pass(image, label, nullptr);
   }
 
-  oracle_result query_logit_seed(const tensor& image, const tensor& seed) override {
-    return finish(run_pass(*model_, image, -1, &seed), image.shape());
+  oracle_result query_logit_seed(const tensor& image, const tensor& seed) final {
+    return run_pass(image, -1, &seed);
   }
 
-  tensor attention_saliency(const tensor& image) override {
+  tensor attention_saliency(const tensor& image) final {
+    // Attention blocks are deep (clear) — rollout stays available to the
+    // attacker even under the shield.
     models::forward_pass fp = model_->forward(image.reshape(batched(image)), ad::norm_mode::eval);
     return attention_rollout(*model_, fp.graph, image.shape());
   }
 
+protected:
+  explicit model_oracle(const models::model& m) : model_{&m} {}
+
+  /// The input gradient the attacker reads after the device back-propagated
+  /// the full graph of `fp`, reshaped to `image_shape`.
+  virtual tensor read_gradient(const models::forward_pass& fp, const shape_t& image_shape) = 0;
+
+  const models::model& model() const { return *model_; }
+
 private:
-  oracle_result finish(pass p, const shape_t& image_shape) {
-    ++queries_;
+  // When `label` >= 0 the objective is cross-entropy at that label;
+  // otherwise `seed` is applied to the logits directly.
+  oracle_result run_pass(const tensor& image, std::int64_t label, const tensor* seed) {
+    models::forward_pass fp =
+        model_->forward(image.reshape(batched(image)), ad::norm_mode::eval);
+    const tensor& logits2d = fp.graph.value(fp.logits);
     oracle_result r;
-    r.gradient = p.fp.graph.adjoint(p.fp.input).reshape(image_shape);
-    r.logits = std::move(p.logits);
-    r.loss = p.loss;
-    r.predicted = p.predicted;
+    r.logits = logits2d.reshape({logits2d.size(1)});
+    r.predicted = ops::argmax(r.logits);
+
+    if (label >= 0) {
+      const ad::node_id labels =
+          fp.graph.add_constant(tensor{shape_t{1}, {static_cast<float>(label)}});
+      const ad::node_id loss =
+          fp.graph.add_transform(ad::make_cross_entropy(), {fp.logits, labels}, "atk_loss");
+      r.loss = fp.graph.value(loss).item();
+      fp.graph.backward(loss);
+    } else {
+      PELTA_CHECK(seed != nullptr && seed->numel() == r.logits.numel());
+      r.loss = ops::dot(*seed, r.logits);
+      fp.graph.backward_from(fp.logits, seed->reshape(logits2d.shape()));
+    }
+    ++queries_;
+    r.gradient = read_gradient(fp, image.shape());
     return r;
   }
 
   const models::model* model_;
+};
+
+class clear_oracle final : public model_oracle {
+public:
+  explicit clear_oracle(const models::model& m) : model_oracle{m} {}
+
+private:
+  tensor read_gradient(const models::forward_pass& fp, const shape_t& image_shape) override {
+    return fp.graph.adjoint(fp.input).reshape(image_shape);
+  }
 };
 
 // Random-uniform initialized transposed-convolution upsampler lifting the
@@ -146,28 +153,13 @@ private:
   tensor kernel_;
 };
 
-class shielded_oracle final : public gradient_oracle {
+class shielded_oracle final : public model_oracle {
 public:
   /// depth == 0: the model's paper (§V-A) frontier; depth > 0: mask the
   /// first `depth` input-dependent transforms (ablation).
   shielded_oracle(const models::model& m, std::uint64_t kernel_seed, tee::enclave* enclave,
                   std::int64_t depth = 0)
-      : model_{&m}, gen_{kernel_seed}, enclave_{enclave}, depth_{depth} {}
-
-  oracle_result query(const tensor& image, std::int64_t label) override {
-    return finish(run_pass(*model_, image, label, nullptr), image.shape());
-  }
-
-  oracle_result query_logit_seed(const tensor& image, const tensor& seed) override {
-    return finish(run_pass(*model_, image, -1, &seed), image.shape());
-  }
-
-  tensor attention_saliency(const tensor& image) override {
-    // Attention blocks are deep (clear) — rollout stays available to the
-    // attacker even under the shield.
-    models::forward_pass fp = model_->forward(image.reshape(batched(image)), ad::norm_mode::eval);
-    return attention_rollout(*model_, fp.graph, image.shape());
-  }
+      : model_oracle{m}, gen_{kernel_seed}, enclave_{enclave}, depth_{depth} {}
 
   void reset(rng& gen) override {
     gen_ = rng{gen.next_u64()};
@@ -175,28 +167,19 @@ public:
   }
 
 private:
-  oracle_result finish(pass p, const shape_t& image_shape) {
-    ++queries_;
+  tensor read_gradient(const models::forward_pass& fp, const shape_t& image_shape) override {
     // The device back-propagated the full graph; PELTA now decides what the
     // attacker can read from memory.
     const shield::shield_report report =
         depth_ > 0
-            ? shield::pelta_shield(p.fp.graph,
-                                   shield::select_first_k_transforms(p.fp.graph, depth_),
-                                   enclave_, model_->name() + "/")
-            : shield::pelta_shield_tags(p.fp.graph, model_->shield_frontier_tags(), enclave_,
-                                        model_->name() + "/");
-    const shield::masked_view view{p.fp.graph, report};
-
-    oracle_result r;
-    r.gradient = upsampler_.apply(view.clear_adjoint(), image_shape, gen_);
-    r.logits = std::move(p.logits);
-    r.loss = p.loss;
-    r.predicted = p.predicted;
-    return r;
+            ? shield::pelta_shield(fp.graph, shield::select_first_k_transforms(fp.graph, depth_),
+                                   enclave_, model().name() + "/")
+            : shield::pelta_shield_tags(fp.graph, model().shield_frontier_tags(), enclave_,
+                                        model().name() + "/");
+    const shield::masked_view view{fp.graph, report};
+    return upsampler_.apply(view.clear_adjoint(), image_shape, gen_);
   }
 
-  const models::model* model_;
   rng gen_;
   tee::enclave* enclave_;
   std::int64_t depth_;
@@ -206,41 +189,21 @@ private:
 // Related-work baseline: parameters shielded, input gradient exposed. The
 // gradient is read *through the masked view* so the exposure is mechanical,
 // not assumed.
-class param_shield_oracle final : public gradient_oracle {
+class param_shield_oracle final : public model_oracle {
 public:
   param_shield_oracle(const models::model& m, tee::enclave* enclave)
-      : model_{&m}, enclave_{enclave} {}
-
-  oracle_result query(const tensor& image, std::int64_t label) override {
-    return finish(run_pass(*model_, image, label, nullptr), image.shape());
-  }
-
-  oracle_result query_logit_seed(const tensor& image, const tensor& seed) override {
-    return finish(run_pass(*model_, image, -1, &seed), image.shape());
-  }
-
-  tensor attention_saliency(const tensor& image) override {
-    models::forward_pass fp = model_->forward(image.reshape(batched(image)), ad::norm_mode::eval);
-    return attention_rollout(*model_, fp.graph, image.shape());
-  }
+      : model_oracle{m}, enclave_{enclave} {}
 
 private:
-  oracle_result finish(pass p, const shape_t& image_shape) {
-    ++queries_;
+  tensor read_gradient(const models::forward_pass& fp, const shape_t& image_shape) override {
     const shield::shield_report report =
-        shield::param_gradient_shield(p.fp.graph, enclave_, model_->name() + "/pg/");
-    const shield::masked_view view{p.fp.graph, report};
-    PELTA_CHECK_MSG(shield::input_gradient_exposed(p.fp.graph, report),
+        shield::param_gradient_shield(fp.graph, enclave_, model().name() + "/pg/");
+    const shield::masked_view view{fp.graph, report};
+    PELTA_CHECK_MSG(shield::input_gradient_exposed(fp.graph, report),
                     "param-gradient shield unexpectedly masked the input");
-    oracle_result r;
-    r.gradient = view.adjoint(p.fp.input).reshape(image_shape);  // allowed: dL/dx is clear
-    r.logits = std::move(p.logits);
-    r.loss = p.loss;
-    r.predicted = p.predicted;
-    return r;
+    return view.adjoint(fp.input).reshape(image_shape);  // allowed: dL/dx is clear
   }
 
-  const models::model* model_;
   tee::enclave* enclave_;
 };
 

@@ -69,10 +69,9 @@ std::vector<std::int64_t> correctly_classified_indices(const models::model& m,
   return out;
 }
 
-namespace {
-
-attack_result dispatch(attack_kind kind, gradient_oracle& oracle, const tensor& x0,
-                       std::int64_t label, const suite_params& p, rng& sample_rng) {
+attack_result run_attack(attack_kind kind, gradient_oracle& oracle, const tensor& x0,
+                         std::int64_t label, const suite_params& p, rng& sample_rng,
+                         bool early_stop) {
   switch (kind) {
     case attack_kind::fgsm: {
       fgsm_config c;
@@ -84,6 +83,7 @@ attack_result dispatch(attack_kind kind, gradient_oracle& oracle, const tensor& 
       c.eps = p.eps;
       c.eps_step = p.eps_step;
       c.steps = p.pgd_steps;
+      c.early_stop = early_stop;
       return run_pgd(oracle, x0, label, c);
     }
     case attack_kind::mim: {
@@ -92,6 +92,7 @@ attack_result dispatch(attack_kind kind, gradient_oracle& oracle, const tensor& 
       c.eps_step = p.eps_step;
       c.steps = p.pgd_steps;
       c.mu = p.mim_mu;
+      c.early_stop = early_stop;
       return run_mim(oracle, x0, label, c);
     }
     case attack_kind::cw: {
@@ -99,6 +100,7 @@ attack_result dispatch(attack_kind kind, gradient_oracle& oracle, const tensor& 
       c.confidence = p.cw_confidence;
       c.eps_step = p.cw_step;
       c.steps = p.cw_steps;
+      c.early_stop = early_stop;
       return run_cw(oracle, x0, label, c);
     }
     case attack_kind::apgd: {
@@ -107,13 +109,36 @@ attack_result dispatch(attack_kind kind, gradient_oracle& oracle, const tensor& 
       c.max_queries = p.apgd_queries;
       c.restarts = p.apgd_restarts;
       c.rho = p.apgd_rho;
+      c.early_stop = early_stop;
       return run_apgd(oracle, x0, label, c, sample_rng);
     }
   }
   throw error{"unknown attack kind"};
 }
 
-}  // namespace
+robust_eval tally_parallel(std::int64_t samples,
+                           const std::function<sample_outcome(std::int64_t)>& attack_sample) {
+  PELTA_CHECK_MSG(samples > 0, "robust-accuracy sweep over no samples");
+  // Lock-free on purpose (lock discipline, docs/ARCHITECTURE.md): these are
+  // commutative-sum atomics incremented from parallel_for chunks — order
+  // cannot affect the integer totals, so no mutex / PELTA_GUARDED_BY is
+  // needed and fetch-add contention is the only synchronization.
+  std::atomic<std::int64_t> successes{0};
+  std::atomic<std::int64_t> total_queries{0};
+  parallel_for(samples, [&](std::int64_t i) {
+    const sample_outcome o = attack_sample(i);
+    if (o.success) successes.fetch_add(1, std::memory_order_relaxed);
+    total_queries.fetch_add(o.queries, std::memory_order_relaxed);
+  });
+
+  robust_eval out;
+  out.samples = samples;
+  out.attack_successes = successes.load();
+  out.robust_accuracy =
+      1.0f - static_cast<float>(out.attack_successes) / static_cast<float>(out.samples);
+  out.mean_queries = static_cast<double>(total_queries.load()) / static_cast<double>(out.samples);
+  return out;
+}
 
 robust_eval evaluate_attack(const models::model& m, const data::dataset& ds, attack_kind kind,
                             const suite_params& params, const oracle_factory& factory,
@@ -122,30 +147,14 @@ robust_eval evaluate_attack(const models::model& m, const data::dataset& ds, att
   PELTA_CHECK_MSG(!candidates.empty(), "model classifies no test sample correctly");
 
   const rng root{seed};
-  // Lock-free on purpose (lock discipline, docs/ARCHITECTURE.md): these are
-  // commutative-sum atomics incremented from parallel_for chunks — order
-  // cannot affect the integer totals, so no mutex / PELTA_GUARDED_BY is
-  // needed and fetch-add contention is the only synchronization.
-  std::atomic<std::int64_t> successes{0};
-  std::atomic<std::int64_t> total_queries{0};
-
-  parallel_for(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
+  return tally_parallel(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
     rng sample_rng = root.fork(static_cast<std::uint64_t>(i));
     auto oracle = factory(sample_rng.next_u64());
     const std::int64_t idx = candidates[static_cast<std::size_t>(i)];
     const attack_result r =
-        dispatch(kind, *oracle, ds.test_image(idx), ds.test_label(idx), params, sample_rng);
-    if (r.misclassified) successes.fetch_add(1, std::memory_order_relaxed);
-    total_queries.fetch_add(r.queries, std::memory_order_relaxed);
+        run_attack(kind, *oracle, ds.test_image(idx), ds.test_label(idx), params, sample_rng);
+    return sample_outcome{r.misclassified, r.queries};
   });
-
-  robust_eval out;
-  out.samples = static_cast<std::int64_t>(candidates.size());
-  out.attack_successes = successes.load();
-  out.robust_accuracy =
-      1.0f - static_cast<float>(out.attack_successes) / static_cast<float>(out.samples);
-  out.mean_queries = static_cast<double>(total_queries.load()) / static_cast<double>(out.samples);
-  return out;
 }
 
 robust_eval evaluate_random_uniform(const models::model& m, const data::dataset& ds, float eps,
@@ -154,23 +163,14 @@ robust_eval evaluate_random_uniform(const models::model& m, const data::dataset&
   PELTA_CHECK_MSG(!candidates.empty(), "model classifies no test sample correctly");
 
   const rng root{seed};
-  std::atomic<std::int64_t> successes{0};
-  parallel_for(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
+  return tally_parallel(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
     rng sample_rng = root.fork(static_cast<std::uint64_t>(i));
     const std::int64_t idx = candidates[static_cast<std::size_t>(i)];
     random_uniform_config c;
     c.eps = eps;
     const tensor x = run_random_uniform(ds.test_image(idx), c, sample_rng);
-    if (predict_one(m, x) != ds.test_label(idx)) successes.fetch_add(1, std::memory_order_relaxed);
+    return sample_outcome{predict_one(m, x) != ds.test_label(idx), 1};
   });
-
-  robust_eval out;
-  out.samples = static_cast<std::int64_t>(candidates.size());
-  out.attack_successes = successes.load();
-  out.robust_accuracy =
-      1.0f - static_cast<float>(out.attack_successes) / static_cast<float>(out.samples);
-  out.mean_queries = 1.0;
-  return out;
 }
 
 saga_eval evaluate_saga(const models::model& vit, const models::model& cnn,
@@ -196,7 +196,7 @@ saga_eval evaluate_saga(const models::model& vit, const models::model& cnn,
   config.alpha_k = params.saga_alpha_k_sim;  // unit-scale terms (see saga.h)
 
   const rng root{seed};
-  // Same commutative-sum atomic policy as above: no lock needed.
+  // Same commutative-sum atomic policy as tally_parallel: no lock needed.
   std::atomic<std::int64_t> vit_ok{0}, cnn_ok{0}, ens_ok{0};
 
   parallel_for(static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {

@@ -66,6 +66,27 @@ std::vector<std::int64_t> correctly_classified_indices(const models::model& m,
                                                        const data::dataset& ds,
                                                        std::int64_t max_samples);
 
+/// Run one attack kind on one sample with the Table II parameters. The only
+/// attack_kind switch: every single-model harness and the compromised FL
+/// client dispatch here. `sample_rng` drives APGD's restarts. `early_stop` = false keeps the
+/// iterative attacks and C&W running to their step budget, for callers that
+/// judge success on another model than the oracle's.
+attack_result run_attack(attack_kind kind, gradient_oracle& oracle, const tensor& x0,
+                         std::int64_t label, const suite_params& params, rng& sample_rng,
+                         bool early_stop = true);
+
+/// One attacked sample's contribution to a robust_eval.
+struct sample_outcome {
+  bool success = false;       ///< the attack fooled the judged model
+  std::int64_t queries = 0;
+};
+
+/// Attack `samples` candidates in parallel and tally the outcomes. The
+/// callback owns everything per sample (rng fork, oracle, success check),
+/// so results do not depend on the thread count.
+robust_eval tally_parallel(std::int64_t samples,
+                           const std::function<sample_outcome(std::int64_t)>& attack_sample);
+
 /// Run one attack kind against one model (one Table III cell).
 robust_eval evaluate_attack(const models::model& m, const data::dataset& ds, attack_kind kind,
                             const suite_params& params, const oracle_factory& factory,

@@ -13,11 +13,6 @@ const node& graph::at(node_id id) const {
   return nodes_[static_cast<std::size_t>(id)];
 }
 
-node& graph::at_mutable(node_id id) {
-  check_id(id);
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
 node_id graph::add_input(tensor value, std::string tag) {
   node n;
   n.id = static_cast<node_id>(nodes_.size());

@@ -39,7 +39,6 @@ public:
 
   std::int64_t node_count() const { return static_cast<std::int64_t>(nodes_.size()); }
   const node& at(node_id id) const;
-  node& at_mutable(node_id id);
 
   const tensor& value(node_id id) const { return at(id).value; }
 

@@ -50,49 +50,10 @@ model_update fl_client::local_update(const local_train_config& config) {
 attacks::attack_result compromised_client::craft_adversarial(
     const tensor& image, std::int64_t label, bool shielded, attacks::attack_kind kind,
     const attacks::suite_params& params, std::uint64_t seed) const {
-  const attacks::oracle_factory factory = shielded
-                                              ? attacks::shielded_oracle_factory(local_model())
-                                              : attacks::clear_oracle_factory(local_model());
-  auto oracle = factory(seed);
+  auto oracle = shielded ? attacks::make_shielded_oracle(local_model(), seed)
+                         : attacks::make_clear_oracle(local_model());
   rng sample_rng{seed};
-  switch (kind) {
-    case attacks::attack_kind::fgsm: {
-      attacks::fgsm_config c;
-      c.eps = params.eps;
-      return attacks::run_fgsm(*oracle, image, label, c);
-    }
-    case attacks::attack_kind::pgd: {
-      attacks::pgd_config c;
-      c.eps = params.eps;
-      c.eps_step = params.eps_step;
-      c.steps = params.pgd_steps;
-      return attacks::run_pgd(*oracle, image, label, c);
-    }
-    case attacks::attack_kind::mim: {
-      attacks::mim_config c;
-      c.eps = params.eps;
-      c.eps_step = params.eps_step;
-      c.steps = params.pgd_steps;
-      c.mu = params.mim_mu;
-      return attacks::run_mim(*oracle, image, label, c);
-    }
-    case attacks::attack_kind::cw: {
-      attacks::cw_config c;
-      c.confidence = params.cw_confidence;
-      c.eps_step = params.cw_step;
-      c.steps = params.cw_steps;
-      return attacks::run_cw(*oracle, image, label, c);
-    }
-    case attacks::attack_kind::apgd: {
-      attacks::apgd_config c;
-      c.eps = params.eps;
-      c.max_queries = params.apgd_queries;
-      c.restarts = params.apgd_restarts;
-      c.rho = params.apgd_rho;
-      return attacks::run_apgd(*oracle, image, label, c, sample_rng);
-    }
-  }
-  throw error{"unknown attack kind"};
+  return attacks::run_attack(kind, *oracle, image, label, params, sample_rng);
 }
 
 }  // namespace pelta::fl

@@ -48,8 +48,6 @@ public:
   virtual std::string attention_softmax_tag(std::int64_t /*block*/, std::int64_t /*head*/) const {
     return {};
   }
-  /// ViT patch size (pixels per token side); 0 for CNNs.
-  virtual std::int64_t patch_size() const { return 0; }
 
   /// Batch-norm running-statistics buffers (empty for BN-free models).
   /// These are state, not parameters: FL deployments must ship them with

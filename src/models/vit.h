@@ -41,7 +41,6 @@ public:
   std::int64_t attention_blocks() const override { return config_.blocks; }
   std::int64_t attention_heads() const override { return config_.heads; }
   std::string attention_softmax_tag(std::int64_t block, std::int64_t head) const override;
-  std::int64_t patch_size() const override { return config_.patch_size; }
 
   const vit_config& config() const { return config_; }
 

@@ -19,7 +19,6 @@ public:
   ad::node_id apply(ad::graph& g, ad::node_id x) const;
 
   std::int64_t tokens() const { return tokens_; }  ///< patch tokens (excl. class)
-  std::int64_t patch_size() const { return patch_size_; }
   const std::string& name() const { return name_; }
 
 private:

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "attacks/eot.h"
@@ -374,6 +375,85 @@ TEST(DefendedOracle, EotAverageIsCloserToNoiseFreeGradient) {
     d16 += ops::norm_l2(ops::sub(many->query(x, y).gradient, g_ref));
   }
   EXPECT_LT(d16, d1);
+}
+
+bool bits_equal(const tensor& a, const tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(float)) == 0;
+}
+
+TEST(DefendedOracle, OneDrawLogitSeedMatchesInnerOnTransformedInput) {
+  // Deterministic chain, one EOT draw: the wrapper is exactly "apply the
+  // chain, query the inner oracle" — the average over one draw is a no-op.
+  const auto& f = fixture::get();
+  const preprocessor_chain chain = make_chain("quantize+jpeg");
+  auto defended = attacks::make_defended_oracle(attacks::make_clear_oracle(*f.vit), chain,
+                                                /*eot_samples=*/1, /*seed=*/3);
+  auto inner = attacks::make_clear_oracle(*f.vit);
+  const tensor x = f.ds.test_image(2);
+  tensor seed{shape_t{4}};
+  seed[0] = 1.0f;
+  seed[2] = -0.5f;
+
+  rng unused{0};
+  const attacks::oracle_result got = defended->query_logit_seed(x, seed);
+  const attacks::oracle_result want = inner->query_logit_seed(chain.apply(x, unused), seed);
+  EXPECT_TRUE(bits_equal(got.gradient, want.gradient));
+  EXPECT_TRUE(bits_equal(got.logits, want.logits));
+  EXPECT_EQ(got.loss, want.loss);
+  EXPECT_EQ(got.predicted, want.predicted);
+  EXPECT_EQ(defended->queries(), 1);
+}
+
+TEST(DefendedOracle, ResetRedrawsTheShieldedInnerKernel) {
+  const auto& f = fixture::get();
+  const preprocessor_chain chain = make_chain("quantize");
+  auto oracle = attacks::make_defended_oracle(attacks::make_shielded_oracle(*f.vit, 11), chain,
+                                              1, 3);
+  const tensor x = f.ds.test_image(3);
+  const std::int64_t y = f.ds.test_label(3);
+  const attacks::oracle_result before = oracle->query(x, y);
+  rng gen{5};
+  oracle->reset(gen);
+  const attacks::oracle_result after = oracle->query(x, y);
+  // The upsampling kernel is the only randomness: the substitute gradient
+  // moves, the clear model head does not.
+  EXPECT_FALSE(bits_equal(before.gradient, after.gradient));
+  EXPECT_TRUE(bits_equal(before.logits, after.logits));
+}
+
+TEST(DefendedOracle, AttentionSaliencyForwardsToInnerOracle) {
+  const auto& f = fixture::get();
+  const preprocessor_chain chain = make_chain("quantize");
+  auto defended =
+      attacks::make_defended_oracle(attacks::make_clear_oracle(*f.vit), chain, 1, 3);
+  auto inner = attacks::make_clear_oracle(*f.vit);
+  const tensor x = f.ds.test_image(4);
+  rng unused{0};
+  const tensor got = defended->attention_saliency(x);
+  ASSERT_EQ(got.shape(), x.shape());
+  EXPECT_TRUE(bits_equal(got, inner->attention_saliency(chain.apply(x, unused))));
+}
+
+TEST(DefendedEval, CwRunsItsFullStepBudget) {
+  // Success is judged by the defended model after the attack, so C&W must
+  // not stop early on the EOT oracle's own prediction: every sample spends
+  // one probe and one seeded query per step, plus the final check.
+  const auto& f = fixture::get();
+  const preprocessor_chain chain = make_chain("quantize");
+  const defended_model dm{*f.vit, chain};
+
+  attacks::defended_eval_config cfg;
+  cfg.kind = attacks::attack_kind::cw;
+  cfg.params = attacks::params_for_dataset("cifar10_like");
+  cfg.params.cw_steps = 6;
+  cfg.params.cw_step = 0.05f;  // large steps: most samples flip well before the budget
+  cfg.max_samples = 8;
+  cfg.seed = 79;
+  const attacks::robust_eval r =
+      attacks::evaluate_attack_defended(dm, f.ds, cfg, attacks::clear_oracle_factory(*f.vit));
+  EXPECT_EQ(r.samples, 8);
+  EXPECT_EQ(r.mean_queries, static_cast<double>(2 * cfg.params.cw_steps + 1));
 }
 
 TEST(DefendedEval, QuantizeChainPgdBpdaStillBeatsSoftwareOnlyDefense) {

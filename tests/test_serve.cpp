@@ -482,6 +482,37 @@ TEST(RequestQueue, WaitDrainWakesOnPushAndOnClose) {
   EXPECT_EQ(q.total_pushed(), 1);
 }
 
+TEST_F(ServeTest, DrainWaitServesALatePushAndReturnsEmptyOnceClosed) {
+  const std::vector<serve::classify_request> reqs = make_requests(1, {0.0});
+  tee::enclave enclave;
+  serve::model_backend backend{model_};
+  serve::server srv{backend, enclave, {}};
+
+  // The producer pushes only after drain_wait() has had time to block; the
+  // call must wake on that push and serve it.
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_TRUE(srv.queue().push(reqs.front()));
+  });
+  const serve::serving_report live = srv.drain_wait();
+  producer.join();
+  ASSERT_EQ(live.requests, 1);
+  ASSERT_EQ(live.results.size(), 1u);
+  EXPECT_EQ(live.results.front().request_id, reqs.front().id);
+
+  tee::enclave enclave2;
+  serve::model_backend backend2{model_};
+  serve::server srv2{backend2, enclave2, {}};
+  expect_reports_identical(live, srv2.run(reqs));
+
+  // Closed and empty: no block, nothing served.
+  srv.queue().close();
+  const serve::serving_report empty = srv.drain_wait();
+  EXPECT_EQ(empty.requests, 0);
+  EXPECT_TRUE(empty.results.empty());
+  EXPECT_TRUE(empty.batches.empty());
+}
+
 // ---- pipelined executor -----------------------------------------------------
 
 // A backend that fails on one chosen batch — the mid-pipeline throw case.
