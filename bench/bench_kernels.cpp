@@ -13,6 +13,9 @@
 // steady-state conv2d call still allocates, or if any kernel output
 // mismatches its reference bitwise. Everything runs single-thread: this is
 // the serial inner-kernel baseline the thread-pool scaling bench multiplies.
+// Report-only rows: ns per element of fn::tanh / fn::exp (tensor/mathfn.h)
+// against libm's std::tanh / std::exp over one batch-32 ViT-B/16-sim GELU's
+// worth of elements.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -25,6 +28,7 @@
 #include "bench/common.h"
 #include "tensor/conv.h"
 #include "tensor/kernels.h"
+#include "tensor/mathfn.h"
 #include "tensor/parallel.h"
 #include "tensor/quantized_tensor.h"
 #include "tensor/rng.h"
@@ -114,6 +118,15 @@ double env_threshold() {
   return 0.0;
 #endif
 }
+
+struct mresult {
+  const char* name;
+  double fn_ns = 0, libm_ns = 0, speedup = 0;
+};
+
+// Elements in one batch-32 ViT-B/16-sim GELU: 32 images x 17 tokens x 64
+// hidden units x 3 blocks.
+constexpr std::int64_t k_gelu_elements = 32 * 17 * 64 * 3;
 
 struct qresult {
   shape s;
@@ -273,6 +286,39 @@ int main() {
                 static_cast<long long>(s.n), r.fp32_gflops, r.int8_gflops, r.speedup);
   }
 
+  // ---- fn::exp / fn::tanh vs libm (report-only) ------------------------------
+  // Inputs span the GELU/softmax range; the libm loop is the per-element
+  // call the float paths made before tensor/mathfn.h.
+  std::printf("\nfn:: vs libm over %lld elements (ns per element):\n",
+              static_cast<long long>(k_gelu_elements));
+  std::vector<mresult> mresults;
+  {
+    std::vector<float> in(static_cast<std::size_t>(k_gelu_elements));
+    for (float& x : in) x = gen.uniform(-8.0f, 8.0f);
+    std::vector<float> out(in.size());
+    const auto per_element = [](double s) {
+      return s * 1e9 / static_cast<double>(k_gelu_elements);
+    };
+    const auto row = [&](const char* name, const auto& fn_map, const auto& libm) {
+      const auto [fn_s, libm_s] = time_ab(
+          9, 4, [&] { fn_map(in.data(), out.data(), k_gelu_elements); },
+          [&] {
+            for (std::size_t i = 0; i < in.size(); ++i) out[i] = libm(in[i]);
+          });
+      mresult r{name, per_element(fn_s), per_element(libm_s), libm_s / fn_s};
+      std::printf("%-6s fn:: %6.2f  libm %6.2f  (%5.2fx)\n", name, r.fn_ns, r.libm_ns,
+                  r.speedup);
+      mresults.push_back(r);
+    };
+    row(
+        "tanh",
+        [](const float* x, float* y, std::int64_t n) { pelta::fn::tanh(x, y, n); },
+        [](float x) { return std::tanh(x); });
+    row(
+        "exp", [](const float* x, float* y, std::int64_t n) { pelta::fn::exp(x, y, n); },
+        [](float x) { return std::exp(x); });
+  }
+
   // Scratch-arena steady state: after a warm-up conv2d round trip, further
   // identical calls must perform zero allocations.
   std::size_t steady_allocs = 0;
@@ -346,11 +392,21 @@ int main() {
                     .field("int8_gflops", r.int8_gflops)
                     .field("speedup", r.speedup));
     }
+    pelta::bench::json mathfn = pelta::bench::json::array();
+    for (const mresult& r : mresults) {
+      mathfn.push(pelta::bench::json::object()
+                      .field("name", r.name)
+                      .field("elements", k_gelu_elements)
+                      .field("fn_ns_per_element", r.fn_ns)
+                      .field("libm_ns_per_element", r.libm_ns)
+                      .field("speedup", r.speedup));
+    }
     pelta::bench::json::object()
         .field("bench", "kernels")
         .field("threads", 1)
         .field("gemm", gemm)
         .field("int8", int8)
+        .field("mathfn", mathfn)
         .field("conv_arena_steady_state_allocations", steady_allocs)
         .field("two_largest_min_speedup", min_large_speedup)
         .field("speedup_threshold", threshold)

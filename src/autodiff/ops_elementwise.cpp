@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/mathfn.h"
 #include "tensor/ops.h"
 
 namespace pelta::ad {
@@ -151,11 +152,8 @@ public:
     tensor out{in[0]->shape()};
     auto px = in[0]->data();
     auto po = out.data();
-    for (std::size_t i = 0; i < po.size(); ++i) {
-      const float x = px[i];
-      const float u = k_sqrt_2_over_pi * (x + 0.044715f * x * x * x);
-      po[i] = 0.5f * x * (1.0f + std::tanh(u));
-    }
+    tanh_of_inner(px, po);
+    for (std::size_t i = 0; i < po.size(); ++i) po[i] = 0.5f * px[i] * (1.0f + po[i]);
     return out;
   }
 
@@ -165,10 +163,10 @@ public:
     auto px = in[0]->data();
     auto pg = g.data();
     auto po = gx.data();
+    tanh_of_inner(px, po);
     for (std::size_t i = 0; i < po.size(); ++i) {
       const float x = px[i];
-      const float u = k_sqrt_2_over_pi * (x + 0.044715f * x * x * x);
-      const float t = std::tanh(u);
+      const float t = po[i];
       const float du = k_sqrt_2_over_pi * (1.0f + 3.0f * 0.044715f * x * x);
       po[i] = pg[i] * (0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du);
     }
@@ -177,6 +175,13 @@ public:
 
 private:
   static constexpr float k_sqrt_2_over_pi = 0.7978845608f;
+
+  // t[i] = tanh(sqrt(2/pi) * (x + 0.044715 x^3)), as one vector map.
+  static void tanh_of_inner(std::span<const float> x, std::span<float> t) {
+    for (std::size_t i = 0; i < t.size(); ++i)
+      t[i] = k_sqrt_2_over_pi * (x[i] + 0.044715f * x[i] * x[i] * x[i]);
+    fn::tanh(t.data(), t.data(), static_cast<std::int64_t>(t.size()));
+  }
 };
 
 // Softmax over the last dimension, numerically stabilized per row.
@@ -198,11 +203,15 @@ public:
       float* orow = po.data() + r * last;
       float m = xr[0];
       for (std::int64_t c = 1; c < last; ++c) m = std::max(m, xr[c]);
+      for (std::int64_t c = 0; c < last; ++c) orow[c] = xr[c] - m;
+    }
+    // One map over every row: short rows (17 tokens) would otherwise pay a
+    // padded tail each, and an element's bits do not depend on its position.
+    fn::exp(po.data(), po.data(), x.numel());
+    for (std::int64_t r = 0; r < rows; ++r) {
+      float* orow = po.data() + r * last;
       double z = 0.0;
-      for (std::int64_t c = 0; c < last; ++c) {
-        orow[c] = std::exp(xr[c] - m);
-        z += orow[c];
-      }
+      for (std::int64_t c = 0; c < last; ++c) z += orow[c];
       const float inv = static_cast<float>(1.0 / z);
       for (std::int64_t c = 0; c < last; ++c) orow[c] *= inv;
     }
@@ -247,8 +256,10 @@ public:
       float* orow = po.data() + r * last;
       float m = xr[0];
       for (std::int64_t c = 1; c < last; ++c) m = std::max(m, xr[c]);
+      for (std::int64_t c = 0; c < last; ++c) orow[c] = xr[c] - m;
+      fn::exp(orow, orow, last);
       double z = 0.0;
-      for (std::int64_t c = 0; c < last; ++c) z += std::exp(xr[c] - m);
+      for (std::int64_t c = 0; c < last; ++c) z += orow[c];
       const float logz = m + static_cast<float>(std::log(z));
       for (std::int64_t c = 0; c < last; ++c) orow[c] = xr[c] - logz;
     }
@@ -263,14 +274,14 @@ public:
     auto pl = out.data();
     auto pg = g.data();
     auto po = gx.data();
+    fn::exp(pl.data(), po.data(), out.numel());  // softmax = exp(log-softmax)
     for (std::int64_t r = 0; r < rows; ++r) {
-      const float* ls = pl.data() + r * last;
       const float* gr = pg.data() + r * last;
       float* orow = po.data() + r * last;
       double gsum = 0.0;
       for (std::int64_t c = 0; c < last; ++c) gsum += gr[c];
       for (std::int64_t c = 0; c < last; ++c)
-        orow[c] = gr[c] - std::exp(ls[c]) * static_cast<float>(gsum);
+        orow[c] = gr[c] - orow[c] * static_cast<float>(gsum);
     }
     return {std::move(gx)};
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/mathfn.h"
 #include "tensor/ops.h"
 
 namespace pelta::ad {
@@ -27,11 +28,17 @@ public:
       PELTA_CHECK_MSG(y >= 0 && y < c, "label " << y << " out of range " << c);
       float m = logits.at(n, 0);
       for (std::int64_t j = 1; j < c; ++j) m = std::max(m, logits.at(n, j));
+      // The softmax row doubles as scratch for the float exp(logit - max).
+      float* srow = softmax_.data().data() + n * c;
+      for (std::int64_t j = 0; j < c; ++j) srow[j] = logits.at(n, j) - m;
+      fn::exp(srow, srow, c);
       double z = 0.0;
-      for (std::int64_t j = 0; j < c; ++j) z += std::exp(logits.at(n, j) - m);
+      for (std::int64_t j = 0; j < c; ++j) z += srow[j];
       const double logz = m + std::log(z);
-      for (std::int64_t j = 0; j < c; ++j)
-        softmax_.at(n, j) = static_cast<float>(std::exp(logits.at(n, j) - logz));
+      for (std::int64_t j = 0; j < c; ++j) {
+        // pelta-lint: allow(R7) the normalised softmax is a double exp on purpose
+        srow[j] = static_cast<float>(std::exp(logits.at(n, j) - logz));
+      }
       loss += logz - logits.at(n, y);
     }
     return tensor::scalar(static_cast<float>(loss / static_cast<double>(b)));

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/kernels.h"
+#include "tensor/mathfn.h"
 #include "tensor/parallel.h"
 
 namespace pelta::ops {
@@ -52,6 +53,18 @@ tensor unary(const tensor& a, const F& f) {
   return out;
 }
 
+// Unary op given as an array map (fn::exp, fn::tanh). Their values do not
+// depend on where a chunk starts or ends, so the split stays bit-identical.
+template <class F>
+tensor unary_map(const tensor& a, const F& map) {
+  tensor out{a.shape()};
+  const float* pa = a.data().data();
+  float* po = out.data().data();
+  elementwise_dispatch(out.numel(),
+                       [&](std::int64_t lo, std::int64_t hi) { map(pa + lo, po + lo, hi - lo); });
+  return out;
+}
+
 }  // namespace
 
 tensor add(const tensor& a, const tensor& b) {
@@ -82,7 +95,7 @@ tensor relu(const tensor& a) {
   return unary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 tensor exp(const tensor& a) {
-  return unary(a, [](float x) { return std::exp(x); });
+  return unary_map(a, [](const float* in, float* out, std::int64_t n) { fn::exp(in, out, n); });
 }
 tensor log(const tensor& a) {
   return unary(a, [](float x) { return std::log(x); });
@@ -91,7 +104,7 @@ tensor sqrt(const tensor& a) {
   return unary(a, [](float x) { return std::sqrt(x); });
 }
 tensor tanh(const tensor& a) {
-  return unary(a, [](float x) { return std::tanh(x); });
+  return unary_map(a, [](const float* in, float* out, std::int64_t n) { fn::tanh(in, out, n); });
 }
 tensor abs(const tensor& a) {
   return unary(a, [](float x) { return std::fabs(x); });

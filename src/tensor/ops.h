@@ -26,9 +26,11 @@ tensor mul_scalar(const tensor& a, float s);
 
 tensor neg(const tensor& a);
 tensor relu(const tensor& a);
+/// fn::exp per element (tensor/mathfn.h: host-independent bits).
 tensor exp(const tensor& a);
 tensor log(const tensor& a);
 tensor sqrt(const tensor& a);
+/// fn::tanh per element (tensor/mathfn.h: host-independent bits).
 tensor tanh(const tensor& a);
 tensor abs(const tensor& a);
 /// -1, 0 or +1 per element (the FGSM/PGD "sign" operator).

@@ -15,16 +15,6 @@ namespace pelta {
 /// Row-major tensor shape. Empty shape denotes a scalar (numel == 1).
 using shape_t = std::vector<std::int64_t>;
 
-/// Number of elements described by a shape (product of extents).
-inline std::int64_t numel_of(const shape_t& s) {
-  std::int64_t n = 1;
-  for (std::int64_t d : s) {
-    PELTA_CHECK_MSG(d >= 0, "negative extent " << d);
-    n *= d;
-  }
-  return n;
-}
-
 /// Human-readable shape, e.g. "[2, 3, 4]".
 inline std::string to_string(const shape_t& s) {
   std::string out = "[";
@@ -34,6 +24,21 @@ inline std::string to_string(const shape_t& s) {
   }
   out += "]";
   return out;
+}
+
+/// Number of elements described by a shape (product of extents). Throws
+/// pelta::error when the product does not fit in int64 (a declared shape
+/// may come from untrusted bytes; the multiply must never overflow).
+inline std::int64_t numel_of(const shape_t& s) {
+  std::int64_t n = 1;
+  for (std::int64_t d : s) {
+    PELTA_CHECK_MSG(d >= 0, "negative extent " << d);
+    std::int64_t next = 0;
+    PELTA_CHECK_MSG(!__builtin_mul_overflow(n, d, &next),
+                    "shape " << to_string(s) << " has more than 2^63 - 1 elements");
+    n = next;
+  }
+  return n;
 }
 
 inline std::ostream& operator<<(std::ostream& os, const shape_t& s) {

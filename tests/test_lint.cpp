@@ -53,24 +53,25 @@ std::vector<int> lines_for_rule(const file_report& r, const std::string& rule) {
 TEST(LintScoping, KernelFilesGetTheAccumulationAndArenaRules) {
   using pelta::lint::applicable_rules;
   EXPECT_EQ(applicable_rules("src/tensor/kernels.cpp"),
-            (std::vector<std::string>{"R1", "R2", "R3", "R4", "R6"}));
+            (std::vector<std::string>{"R1", "R2", "R3", "R4", "R6", "R7"}));
   EXPECT_EQ(applicable_rules("src/tensor/conv.cpp"),
-            (std::vector<std::string>{"R1", "R2", "R3", "R4", "R6"}));
+            (std::vector<std::string>{"R1", "R2", "R3", "R4", "R6", "R7"}));
   EXPECT_EQ(applicable_rules("src/fl/aggregation.cpp"),
             (std::vector<std::string>{"R1", "R3", "R4", "R5", "R6"}));
   // The quantization vocabulary is fp32 on its dequantize side, so it owes
   // the fmadd policy — but not the arena rule (it only packs weights).
   EXPECT_EQ(applicable_rules("src/tensor/quantized_tensor.cpp"),
-            (std::vector<std::string>{"R1", "R3", "R4", "R6"}));
+            (std::vector<std::string>{"R1", "R3", "R4", "R6", "R7"}));
 }
 
 TEST(LintScoping, AllowlistedCoresLoseExactlyTheirRule) {
   using pelta::lint::applicable_rules;
   // rng core may use OS entropy; it still may not spawn threads or raw-lock.
-  EXPECT_EQ(applicable_rules("src/tensor/rng.h"), (std::vector<std::string>{"R4", "R6"}));
+  EXPECT_EQ(applicable_rules("src/tensor/rng.h"),
+            (std::vector<std::string>{"R4", "R6", "R7"}));
   // the pool implements concurrency; it still may not read the wall clock.
   EXPECT_EQ(applicable_rules("src/tensor/parallel.cpp"),
-            (std::vector<std::string>{"R3", "R6"}));
+            (std::vector<std::string>{"R3", "R6", "R7"}));
   EXPECT_EQ(applicable_rules("src/serve/batcher.cpp"),
             (std::vector<std::string>{"R3", "R4", "R5", "R6"}));
   // the annotated-wrapper home is the one place allowed to touch the raw
@@ -284,6 +285,41 @@ TEST(LintR6, AnyAnnotationFamilyReferenceCountsAsGuarding) {
 TEST(LintR6, SyncHomeIsExemptByScope) {
   const file_report r = lint_fixture("r6_hit.cpp", "src/core/sync.h");
   EXPECT_TRUE(lines_for_rule(r, "R6").empty());
+}
+
+// ---------------------------------------------------------------------------
+// R7: libm exp/tanh in the float layers
+// ---------------------------------------------------------------------------
+
+TEST(LintR7, FlagsLibmExpAndTanhQualifiedAndCStyle) {
+  const file_report r = lint_fixture("r7_hit.cpp", "src/autodiff/ops_elementwise.cpp");
+  EXPECT_EQ(lines_for_rule(r, "R7"), (std::vector<int>{4, 5, 6, 7}));
+  EXPECT_EQ(r.suppressed, 0);
+}
+
+TEST(LintR7, MathfnCallsProseAndOtherLibmNamesAreClean) {
+  const file_report r = lint_fixture("r7_miss.cpp", "src/nn/layers.cpp");
+  EXPECT_TRUE(r.findings.empty())
+      << r.findings.front().message << " at line " << r.findings.front().line;
+}
+
+TEST(LintR7, DoublePrecisionCallsRideSuppressions) {
+  const file_report r = lint_fixture("r7_suppressed.cpp", "src/autodiff/ops_loss.cpp");
+  EXPECT_TRUE(r.findings.empty());
+  EXPECT_EQ(r.suppressed, 2);
+}
+
+TEST(LintR7, ScopeIsTheFloatLayersMinusMathfnHeader) {
+  using pelta::lint::applicable_rules;
+  for (const char* p : {"src/tensor/ops.cpp", "src/autodiff/ops_loss.cpp", "src/nn/layers.cpp",
+                        "src/models/vit.cpp", "src/tensor/mathfn.cpp"}) {
+    const std::vector<std::string> rules = applicable_rules(p);
+    EXPECT_NE(std::find(rules.begin(), rules.end(), "R7"), rules.end()) << p;
+  }
+  // The header names libm in its contract prose; the simulated network's
+  // double draws and the attacks are outside the float layers.
+  for (const char* p : {"src/tensor/mathfn.h", "src/fl/network.cpp", "src/attacks/cw.cpp"})
+    EXPECT_TRUE(lines_for_rule(lint_fixture("r7_hit.cpp", p), "R7").empty()) << p;
 }
 
 // ---------------------------------------------------------------------------

@@ -79,6 +79,13 @@ std::vector<op_case> all_cases() {
   cases.push_back({"gelu", [] { return make_gelu(); }, {{4, 4}}, {0}});
   cases.push_back({"softmax", [] { return make_softmax_lastdim(); }, {{3, 5}}, {0}});
   cases.push_back({"log_softmax", [] { return make_log_softmax_lastdim(); }, {{3, 5}}, {0}});
+  // Odd widths: rows cross the fn::exp / fn::tanh vector-to-tail boundary.
+  for (const auto& [w, s] : {std::pair{"_3x7", shape_t{3, 7}}, std::pair{"_5x17", shape_t{5, 17}}}) {
+    cases.push_back({std::string("gelu") + w, [] { return make_gelu(); }, {s}, {0}});
+    cases.push_back({std::string("softmax") + w, [] { return make_softmax_lastdim(); }, {s}, {0}});
+    cases.push_back(
+        {std::string("log_softmax") + w, [] { return make_log_softmax_lastdim(); }, {s}, {0}});
+  }
   cases.push_back({"matmul", [] { return make_matmul(); }, {{3, 4}, {4, 2}}, {0, 1}});
   cases.push_back({"bmm", [] { return make_bmm(); }, {{2, 3, 4}, {2, 4, 2}}, {0, 1}});
   cases.push_back({"transpose", [] { return make_transpose_last2(); }, {{2, 3, 4}}, {0}});

@@ -25,6 +25,20 @@ TEST(Shape, NumelAndStrides) {
 
 TEST(Shape, NegativeExtentThrows) { EXPECT_THROW(numel_of({2, -1}), error); }
 
+// Regression: the extent product used to overflow int64 silently (UB), so a
+// hostile declared shape could come out as a small or negative numel.
+TEST(Shape, NumelOverflowThrows) {
+  constexpr std::int64_t big = std::int64_t{1} << 40;
+  const shape_t huge{big, big};
+  EXPECT_THROW(numel_of(huge), error);
+  EXPECT_THROW(numel_of({3, std::int64_t{1} << 62}), error);
+  EXPECT_THROW(tensor{huge}, error);
+  // The largest representable products still pass, and a zero extent
+  // anywhere keeps the product zero.
+  EXPECT_EQ(numel_of({std::int64_t{1} << 62, 1}), std::int64_t{1} << 62);
+  EXPECT_EQ(numel_of({0, big, big}), 0);
+}
+
 TEST(Tensor, DefaultIsScalarZero) {
   tensor t;
   EXPECT_EQ(t.ndim(), 0);

@@ -366,6 +366,14 @@ bool r6_applies(const std::string& p) {
          p != "src/core/thread_annotations.h";
 }
 
+// The float layers route exp/tanh through tensor/mathfn.h, which is the
+// one place allowed to name the libm functions (in its contract prose).
+bool r7_applies(const std::string& p) {
+  return (starts_with(p, "src/tensor/") || starts_with(p, "src/autodiff/") ||
+          starts_with(p, "src/nn/") || starts_with(p, "src/models/")) &&
+         p != "src/tensor/mathfn.h";
+}
+
 }  // namespace
 
 std::vector<std::string> applicable_rules(const std::string& rel_path) {
@@ -378,6 +386,7 @@ std::vector<std::string> applicable_rules(const std::string& rel_path) {
   if (r4_applies(p)) rules.push_back("R4");
   if (r5_applies(p)) rules.push_back("R5");
   if (r6_applies(p)) rules.push_back("R6");
+  if (r7_applies(p)) rules.push_back("R7");
   return rules;
 }
 
@@ -602,6 +611,18 @@ file_report lint_source(const std::string& rel_path, const std::string& content,
                 "annotation in this file — a mutex that guards nothing is dead "
                 "or hiding an unannotated field");
     }
+  }
+
+  // ---- R7: libm exp/tanh in the float layers -----------------------------
+  if (r7_applies(path)) {
+    for (const char* fn : {"std::exp", "std::tanh", "expf", "tanhf"})
+      for (std::size_t pos : find_word(s, fn))
+        add(pos, "R7",
+            std::string(fn) +
+                " in a float layer — use fn::exp / fn::tanh (tensor/mathfn.h): libm "
+                "results differ across hosts and glibc versions, and the bit-identity "
+                "contract must not; suppress with a reason where a double-precision "
+                "call is intended");
   }
 
   // ---- suppressions -------------------------------------------------------

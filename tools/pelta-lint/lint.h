@@ -43,6 +43,11 @@
 //       named by at least one PELTA_GUARDED_BY / PELTA_REQUIRES-family
 //       annotation in the same file: a mutex that guards nothing is
 //       either dead or hiding an unannotated field.
+//   R7  no std::exp / std::tanh / expf / tanhf in src/tensor, src/autodiff,
+//       src/nn or src/models outside src/tensor/mathfn.h — the float
+//       paths go through fn::exp / fn::tanh, whose bits do not depend on
+//       the host's libm. A double-precision call that is meant as one
+//       rides a reasoned suppression.
 //
 // Besides the per-file rules, the tree walk runs a *layering* pass
 // (layering.h): every `#include "sub/..."` edge is collapsed onto the
@@ -64,7 +69,7 @@ namespace pelta::lint {
 struct finding {
   std::string file;     ///< repo-relative path, forward slashes
   int line = 0;         ///< 1-based
-  std::string rule;     ///< "R1".."R6", "L1"/"L2", or "suppression"
+  std::string rule;     ///< "R1".."R7", "L1"/"L2", or "suppression"
   std::string message;  ///< human-readable diagnostic
 };
 

@@ -1,5 +1,5 @@
 // pelta-lint CLI: walk <repo-root>/src and enforce the project invariants
-// (rules R1-R6 plus the L1/L2 layering pass, see lint.h / layering.h). Exit
+// (rules R1-R7 plus the L1/L2 layering pass, see lint.h / layering.h). Exit
 // code 1 on any finding, so the CTest `lint` label and the CI
 // static-analysis job gate on it directly. `--json <path>` additionally
 // writes the machine-readable report the CI job uploads as an artifact.
@@ -28,6 +28,9 @@ constexpr const char* k_rules_doc =
     "      outside src/core/sync.h (use the annotated pelta::sync wrappers),\n"
     "      and every sync::mutex member must be named by a PELTA_GUARDED_BY /\n"
     "      PELTA_REQUIRES-family annotation in its file\n"
+    "  R7  no std::exp / std::tanh / expf / tanhf in src/tensor, src/autodiff,\n"
+    "      src/nn or src/models outside src/tensor/mathfn.h (use fn::exp /\n"
+    "      fn::tanh; suppress where a double-precision call is intended)\n"
     "  L1  cross-subsystem #include edge not declared in the layering table\n"
     "      of docs/ARCHITECTURE.md (suppressible per include line)\n"
     "  L2  layering declaration defects: missing/unparseable table, cycle in\n"
