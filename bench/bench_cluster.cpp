@@ -252,8 +252,8 @@ int main() {
         .field("mean_gap_ns", 1e4)
         .field("max_batch", server_config.policy.max_batch)
         .field("max_delay_ns", server_config.policy.max_delay_ns)
-        .field("batch_setup_ns", server_config.batch_setup_ns)
-        .field("compute_ns_per_sample", server_config.compute_ns_per_sample)
+        .field("batch_setup_ns", server_config.cost.batch_setup_ns)
+        .field("compute_ns_per_sample", server_config.cost.compute_ns_per_sample)
         .field("router", "round_robin")
         .field("fleet", fleet_json)
         .field("scale_threshold", min_scale)

@@ -70,8 +70,6 @@ int main() {
   cfg.async.heterogeneity.stragglers = 1;
   cfg.async.heterogeneity.straggler_slowdown = slowdown;
 
-  const std::vector<fl::client_profile> profiles =
-      fl::make_client_profiles(clients, cfg.async.heterogeneity);
   std::printf("fleet: %lld clients, 1 straggler at %.1fx compute, buffer K=%lld, "
               "staleness weighting %s\n",
               static_cast<long long>(clients), slowdown,
@@ -82,24 +80,12 @@ int main() {
 
   // ---- synchronous barrier ---------------------------------------------------
   fl::federation sync_fed{cfg, tiny_vit_factory(), ds};
-  const fl::network& net = sync_fed.net();  // the federation's own cost model
-  const std::int64_t payload =
-      static_cast<std::int64_t>(sync_fed.server().broadcast().size());
-  const auto episode_ns = [&](std::int64_t client) {
-    // The planner's own cost model prices the sync side too.
-    return fl::async_episode_ns(cfg.async, profiles[static_cast<std::size_t>(client)],
-                                sync_fed.client(client).shard_size(), cfg.local.epochs,
-                                payload, net);
-  };
-
   double sync_clock_ns = 0.0, sync_time_to_target = -1.0;
   double sync_accuracy = 0.0;
   std::int64_t sync_rounds = 0;
   for (std::int64_t r = 0; r < max_rounds; ++r) {
     // The barrier: the round ends when its slowest participant finishes.
-    double round_ns = 0.0;
-    for (const std::int64_t id : sync_fed.round_participant_ids(r))
-      round_ns = std::max(round_ns, episode_ns(id));
+    const double round_ns = sync_fed.sync_round_ns(r);
     sync_fed.run_round();
     sync_clock_ns += round_ns;
     ++sync_rounds;

@@ -9,11 +9,11 @@
 // per batch.
 //
 // The primary GATE runs on the simulated clock, like bench_fl_async: both
-// paths are priced by the same cost model (server_config's per-forward
-// setup + per-sample compute, the same convention as fl/async_config's
-// modeled compute, plus the §VI TEE cost model — ecall-style for the loop,
-// hotcall for the session), so the result is deterministic and
-// host-independent. Wall-clock for both paths is measured in the same
+// paths are priced by the same cost model (core::cost_model's per-forward
+// setup + per-sample compute, the one fl::async_episode_ns trains with,
+// plus the §VI TEE cost model — ecall-style for the loop, hotcall for the
+// session), so the result is deterministic and host-independent.
+// Wall-clock for both paths is measured in the same
 // interleaved best-of rounds and gated too: with the pipelined executor
 // (PR 6) overlapping gather/scatter with the serialized enclave stage,
 // batch-32 wall throughput must not fall below the serial loop's even at
@@ -95,8 +95,8 @@ struct sweep_point {
 // (models::quantize_model), both served through serve::model_backend over the
 // same workload, on a chain-compilable MLP victim (the ViT above is
 // not chain-shaped). The simulated clock has no int8 notion of its own, so
-// the quantized leg's compute_ns_per_sample is the fp32 constant scaled by
-// the MEASURED per-forward kernel ratio.
+// the quantized leg's cost.compute_ns_per_sample is the fp32 constant scaled
+// by the MEASURED per-forward kernel ratio.
 struct quant_leg_result {
   double fp32_wall_best_s = 1e300;
   double int8_wall_best_s = 1e300;
@@ -136,7 +136,7 @@ int main() {
               static_cast<long long>(rounds));
 
   models::vit_model model{serving_vit_config()};
-  const serve::server_config cost_model{};  // the shared compute-cost constants
+  const serve::server_config defaults{};  // default policy and compute cost model
 
   // A saturated open-loop workload: all requests pending at t=0, so the
   // batcher always finds a full batch — the pure throughput regime.
@@ -169,8 +169,7 @@ int main() {
   // Every request pays one full forward: per-forward setup + one sample of
   // compute + its own ecall-style shield.
   const double serial_sim_span_ns =
-      static_cast<double>(n) * (cost_model.batch_setup_ns + cost_model.compute_ns_per_sample) +
-      serial_modeled_tee_ns;
+      static_cast<double>(n) * defaults.cost.batch_ns(1) + serial_modeled_tee_ns;
 
   const std::int64_t sweep_batches[] = {1, 4, 8, 32};
   std::vector<sweep_point> sweep(std::size(sweep_batches));
@@ -201,7 +200,7 @@ int main() {
     {
       tee::enclave enclave;
       serve::model_backend backend{model};
-      serve::server_config cfg = cost_model;
+      serve::server_config cfg = defaults;
       cfg.policy = {32, 2e6};
       cfg.pipeline_depth = 1;
       serve::server srv{backend, enclave, cfg};
@@ -215,7 +214,7 @@ int main() {
     for (sweep_point& point : sweep) {
       tee::enclave enclave;
       serve::model_backend backend{model};
-      serve::server_config cfg = cost_model;
+      serve::server_config cfg = defaults;
       cfg.policy = {point.max_batch, 2e6};
       serve::server srv{backend, enclave, cfg};
       const auto t0 = std::chrono::steady_clock::now();
@@ -294,15 +293,15 @@ int main() {
       quant_leg.kernel_ratio = int8_best / fp32_best;
     }
 
-    serve::server_config qcfg = cost_model;
+    serve::server_config qcfg = defaults;
     qcfg.policy = {32, 2e6};
-    qcfg.compute_ns_per_sample = cost_model.compute_ns_per_sample * quant_leg.kernel_ratio;
+    qcfg.cost.compute_ns_per_sample *= quant_leg.kernel_ratio;
 
     for (std::int64_t round = 0; round < rounds; ++round) {
       {
         tee::enclave enclave;
         serve::model_backend backend{mlp};
-        serve::server_config cfg = cost_model;
+        serve::server_config cfg = defaults;
         cfg.policy = {32, 2e6};
         serve::server srv{backend, enclave, cfg};
         const auto t0 = std::chrono::steady_clock::now();
@@ -403,8 +402,8 @@ int main() {
         .field("bench", "serving")
         .field("threads", parallel_thread_count())
         .field("requests", n)
-        .field("batch_setup_ns", cost_model.batch_setup_ns)
-        .field("compute_ns_per_sample", cost_model.compute_ns_per_sample)
+        .field("batch_setup_ns", defaults.cost.batch_setup_ns)
+        .field("compute_ns_per_sample", defaults.cost.compute_ns_per_sample)
         .field("serial_sim_rps", serial_sim_rps)
         .field("serial_wall_rps", serial_wall_rps)
         .field("serial_modeled_tee_ns_per_request",

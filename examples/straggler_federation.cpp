@@ -55,22 +55,10 @@ int main() {
 
   // ---- synchronous barrier: 6 rounds, each as slow as the straggler ---------
   fl::federation sync_fed{cfg, factory, ds};
-  // Price the barrier with the federation's own simulated cost model.
-  const fl::network& net = sync_fed.net();
-  const std::int64_t payload =
-      static_cast<std::int64_t>(sync_fed.server().broadcast().size());
-  const auto episode_ns = [&](std::int64_t id) {
-    // Price sync rounds with the async planner's own cost model.
-    return fl::async_episode_ns(cfg.async, profiles[static_cast<std::size_t>(id)],
-                                sync_fed.client(id).shard_size(), cfg.local.epochs, payload,
-                                net);
-  };
   const std::int64_t sync_rounds = 6;
   double sync_clock_ns = 0.0;
   for (std::int64_t r = 0; r < sync_rounds; ++r) {
-    double round_ns = 0.0;
-    for (const std::int64_t id : sync_fed.round_participant_ids(r))
-      round_ns = std::max(round_ns, episode_ns(id));
+    const double round_ns = sync_fed.sync_round_ns(r);
     sync_fed.run_round();
     sync_clock_ns += round_ns;
   }

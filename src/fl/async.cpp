@@ -2,17 +2,17 @@
 
 #include <limits>
 
+#include "core/cost_model.h"
 #include "core/simclock.h"
 #include "tensor/check.h"
 #include "tensor/rng.h"
 
 namespace pelta::fl {
 
-double async_episode_ns(const async_config& config, const client_profile& profile,
+double async_episode_ns(const async_config& /*config*/, const client_profile& profile,
                         std::int64_t shard_size, std::int64_t epochs,
                         std::int64_t payload_bytes, const network& net) {
-  const double compute = config.compute_ns_per_sample * static_cast<double>(epochs) *
-                         static_cast<double>(shard_size) * profile.compute_scale;
+  const double compute = core::cost_model{}.train_ns(shard_size, epochs, profile.compute_scale);
   return net.transfer_ns(payload_bytes, profile) + compute +
          net.transfer_ns(payload_bytes, profile);
 }
@@ -36,7 +36,6 @@ async_schedule plan_async_schedule(const async_config& config,
                                    std::uint64_t seed, double horizon_ns) {
   PELTA_CHECK_MSG(config.buffer_size >= 1, "async buffer_size must be >= 1");
   PELTA_CHECK_MSG(config.max_staleness >= 0, "max_staleness must be >= 0");
-  PELTA_CHECK_MSG(config.compute_ns_per_sample >= 0.0, "compute_ns_per_sample must be >= 0");
   PELTA_CHECK_MSG(!profiles.empty() && profiles.size() == shard_sizes.size(),
                   "async planning needs one profile per client shard");
   PELTA_CHECK_MSG(epochs >= 1 && payload_bytes > 0, "invalid epochs / payload size");

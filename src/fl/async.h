@@ -15,7 +15,7 @@
 //   1. plan_async_schedule — a pure, single-threaded event loop over the
 //      *simulated* clock. Completion times come from the network cost model
 //      (client_profile-scaled transfers) plus a modeled compute duration
-//      (compute_ns_per_sample × epochs × shard size × compute_scale);
+//      (core::cost_model::train_ns, core/cost_model.h);
 //      dropout draws come from per-job forked rng streams. The plan fixes,
 //      deterministically, which episode trains from which global version
 //      and which aggregation consumes it.
@@ -48,10 +48,6 @@ struct async_config {
   /// Fleet heterogeneity (per-client link/compute scales, stragglers,
   /// dropout) driving the simulated clock.
   heterogeneity_config heterogeneity;
-  /// Modeled local-training cost per (sample × epoch) before the client's
-  /// compute_scale. Default ≈ 0.2 ms/sample keeps compute comparable to a
-  /// few MB of model transfer on the default ~1 Gbps link.
-  double compute_ns_per_sample = 2e5;
 };
 
 /// One planned client training episode.
@@ -67,10 +63,9 @@ struct async_job {
 };
 
 /// Modeled duration of one client training episode: download the broadcast,
-/// train (compute_ns_per_sample × epochs × shard size × compute_scale),
-/// upload the update. The single source of the simulated cost model — the
-/// planner, the sync-side clock of bench_fl_async and the straggler example
-/// all price episodes through this.
+/// train (core::cost_model::train_ns at the profile's compute_scale; `config`
+/// carries no price), upload the update. The async planner and
+/// federation::sync_round_ns price episodes through this.
 double async_episode_ns(const async_config& config, const client_profile& profile,
                         std::int64_t shard_size, std::int64_t epochs,
                         std::int64_t payload_bytes, const network& net);

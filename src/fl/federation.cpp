@@ -56,6 +56,19 @@ std::vector<std::int64_t> federation::round_participant_ids(std::int64_t round) 
   return ids;
 }
 
+double federation::sync_round_ns(std::int64_t round) const {
+  const auto profiles = make_client_profiles(client_count(), config_.async.heterogeneity);
+  const auto payload = static_cast<std::int64_t>(server_.broadcast().size());
+  double slowest = 0.0;
+  for (const std::int64_t id : round_participant_ids(round)) {
+    const auto c = static_cast<std::size_t>(id);
+    slowest = std::max(slowest, async_episode_ns(config_.async, profiles[c],
+                                                 clients_[c]->shard_size(),
+                                                 config_.local.epochs, payload, network_));
+  }
+  return slowest;
+}
+
 std::vector<fl_client*> federation::sample_round_participants() {
   std::vector<fl_client*> out;
   for (const std::int64_t id : round_participant_ids(server_.round()))

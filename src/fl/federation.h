@@ -69,14 +69,14 @@ public:
 
   network_stats traffic() const { return network_.stats(); }
 
-  /// The cost model every transfer (sync and async) is metered with — the
-  /// bench prices its sync-side clock against the same instance.
-  const network& net() const { return network_; }
-
   /// Deterministic preview of the client ids a sync round would sample for
   /// `round` (in training order). Depends only on (seed, round,
   /// participation, clients); run_round consumes the same list.
   std::vector<std::int64_t> round_participant_ids(std::int64_t round) const;
+
+  /// Simulated duration of sync round `round`: the barrier waits for its
+  /// slowest participant's async_episode_ns under config.async's profiles.
+  double sync_round_ns(std::int64_t round) const;
 
   /// Global-model accuracy on the dataset's test split.
   float global_test_accuracy() const;

@@ -169,9 +169,8 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
     // Modeled cost only: routing load must never depend on measured enclave
     // charges (the plan stays pure). Execution folds the real charge in.
     pb.planned_exec_start_ns = std::max(pb.batch.close_ns, s.busy_until_ns);
-    pb.planned_finish_ns = pb.planned_exec_start_ns + config.server.batch_setup_ns +
-                           config.server.compute_ns_per_sample *
-                               static_cast<double>(pb.batch.members.size());
+    pb.planned_finish_ns = config.server.cost.finish_ns(
+        pb.planned_exec_start_ns, static_cast<std::int64_t>(pb.batch.members.size()));
     s.busy_until_ns = pb.planned_finish_ns;
     s.inflight.push_back(bi);
     s.open_batch = -1;
@@ -504,14 +503,9 @@ cluster_report cluster::run(const std::vector<classify_request>& workload) {
       try {
         tee::enclave enclave;
         enclave_session session{enclave};
-        exec::batch_run run =
+        static_cast<batch_run&>(rep) =
             exec::run_batches(workload, slot_batches[static_cast<std::size_t>(s)], *backend_,
                               session, config_.server, report.results);
-        rep.batches = std::move(run.batches);
-        rep.requests = run.requests;
-        rep.enclave_ns = run.enclave_ns;
-        rep.hotcalls = run.hotcalls;
-        rep.last_finish_ns = run.last_finish_ns;
       } catch (...) {
         errors[static_cast<std::size_t>(s)] = std::current_exception();
       }

@@ -31,10 +31,10 @@
 //      the single-server path (batch-size invariance + one shared executor).
 //
 // Routing LOAD is a plan-time model: requests routed to a replica and not
-// yet finished under the modeled batch cost (batch_setup_ns +
-// compute_ns_per_sample × size). Measured enclave charges are only known
-// at execution and are deliberately excluded from routing — planning must
-// stay pure — and folded into the replica clocks when the plan executes.
+// yet finished under the modeled batch cost (server_config::cost,
+// core/cost_model.h). Measured enclave charges are only known at execution
+// and are deliberately excluded from routing — planning must stay pure —
+// and folded into the replica clocks when the plan executes.
 //
 // Chaos semantics (drain-and-requeue — no request is ever lost):
 //   * kill(replica, T): the open batch and every dispatched-but-unfinished
@@ -165,14 +165,10 @@ cluster_plan plan_cluster(const cluster_config& config,
                           const std::vector<double>& submit_ns,
                           const std::vector<std::int64_t>& ids);
 
-/// What one replica slot did, on the simulated clock.
-struct replica_report {
+/// What one replica slot did, on the simulated clock: the batch executor's
+/// record of its executed (non-aborted) batches, plus the slot.
+struct replica_report : batch_run {
   std::int64_t slot = -1;
-  std::vector<batch_record> batches;  ///< executed (non-aborted) batches
-  std::int64_t requests = 0;          ///< requests it served to completion
-  double enclave_ns = 0.0;
-  std::int64_t hotcalls = 0;
-  double last_finish_ns = 0.0;
 };
 
 struct cluster_report {

@@ -173,8 +173,7 @@ batch_run run_batches(const std::vector<classify_request>& requests,
     // Simulated clock: one pipeline — a batch starts when it closed AND the
     // previous batch finished.
     s.exec_start_ns = std::max(batch.close_ns, busy_until_ns);
-    s.compute_ns =
-        config.batch_setup_ns + config.compute_ns_per_sample * static_cast<double>(size);
+    s.compute_ns = config.cost.batch_ns(size);
     s.finish_ns = s.exec_start_ns + s.charge.enclave_ns + s.compute_ns;
     busy_until_ns = s.finish_ns;
     run.requests += size;

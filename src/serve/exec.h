@@ -48,15 +48,6 @@ struct batch_ref {
   const planned_batch* batch = nullptr;
 };
 
-/// What run_batches executed, on the simulated clock.
-struct batch_run {
-  std::vector<batch_record> batches;  ///< in execution order
-  std::int64_t requests = 0;          ///< requests served
-  double enclave_ns = 0.0;
-  std::int64_t hotcalls = 0;
-  double last_finish_ns = 0.0;  ///< 0 when no batch ran
-};
-
 /// Execute `batches` in order through `backend` and `session`, writing each
 /// request's row of the pre-sized `results`.
 ///

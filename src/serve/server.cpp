@@ -106,12 +106,8 @@ serving_report server::run(const std::vector<classify_request>& workload) {
   batches.reserve(plan.batches.size());
   for (std::size_t b = 0; b < plan.batches.size(); ++b) batches.push_back({b, &plan.batches[b]});
   serving_report report = exec::make_report_header(workload);
-  exec::batch_run run =
+  static_cast<batch_run&>(report) =
       exec::run_batches(workload, batches, *backend_, session_, config_, report.results);
-  report.batches = std::move(run.batches);
-  report.last_finish_ns = run.last_finish_ns;
-  report.enclave_ns = run.enclave_ns;
-  report.hotcalls = run.hotcalls;
   return report;
 }
 

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cost_model.h"
 #include "defenses/preprocessor.h"
 #include "models/ensemble.h"
 #include "models/model.h"
@@ -101,12 +102,9 @@ private:
 struct server_config {
   batch_policy policy;
 
-  /// Modeled per-sample forward cost on the simulated clock (same default
-  /// as fl/async_config::compute_ns_per_sample).
-  double compute_ns_per_sample = 2e5;
-  /// Modeled per-batch fixed cost (graph construction, dispatch) — the part
-  /// batching amortizes on the simulated clock.
-  double batch_setup_ns = 1e6;
+  /// Modeled compute price of a batch on the simulated clock
+  /// (core/cost_model.h): every executed batch costs cost.batch_ns(size).
+  core::cost_model cost;
 
   /// Optional software-defense chain applied per request before batching;
   /// sample streams fork from the request id under `chain_seed`.
@@ -132,15 +130,20 @@ struct batch_record {
   std::int64_t hotcalls = 0;
 };
 
-struct serving_report {
+/// What the batch executor (exec::run_batches) ran, on the simulated clock.
+struct batch_run {
+  std::vector<batch_record> batches;  ///< in execution order
+  std::int64_t requests = 0;          ///< requests served
+  double enclave_ns = 0.0;            ///< total modeled TEE cost
+  std::int64_t hotcalls = 0;
+  double last_finish_ns = 0.0;  ///< simulated makespan end; 0 when no batch ran
+};
+
+/// A served workload: the executor's record plus every request's result.
+struct serving_report : batch_run {
   /// One result per request, in the caller's submission order.
   std::vector<classify_result> results;
-  std::vector<batch_record> batches;
-  std::int64_t requests = 0;
   double first_submit_ns = 0.0;
-  double last_finish_ns = 0.0;       ///< simulated makespan end
-  double enclave_ns = 0.0;           ///< total modeled TEE cost of this run
-  std::int64_t hotcalls = 0;
 
   double simulated_span_ns() const { return last_finish_ns - first_submit_ns; }
   double mean_batch_size() const {

@@ -12,7 +12,7 @@ void append_raw(byte_buffer& out, const void* src, std::size_t n) {
 }
 
 void read_raw(const byte_buffer& buf, std::size_t& offset, void* dst, std::size_t n) {
-  PELTA_CHECK_MSG(offset + n <= buf.size(),
+  PELTA_CHECK_MSG(offset <= buf.size() && n <= buf.size() - offset,
                   "truncated tensor buffer: need " << n << " at " << offset << " of " << buf.size());
   std::memcpy(dst, buf.data() + offset, n);
   offset += n;
@@ -35,7 +35,9 @@ tensor deserialize_tensor(const byte_buffer& buf, std::size_t& offset) {
   PELTA_CHECK_MSG(rank >= 0 && rank <= 8, "implausible tensor rank " << rank);
   shape_t shape(static_cast<std::size_t>(rank));
   for (auto& d : shape) read_raw(buf, offset, &d, sizeof(d));
-  const std::int64_t n = numel_of(shape);
+  const std::int64_t n = numel_of(shape);  // untrusted: check the length before allocating
+  PELTA_CHECK_MSG(static_cast<std::uint64_t>(n) <= (buf.size() - offset) / sizeof(float),
+                  "truncated tensor buffer: shape " << to_string(shape) << " at " << offset);
   std::vector<float> data(static_cast<std::size_t>(n));
   read_raw(buf, offset, data.data(), data.size() * sizeof(float));
   return tensor{std::move(shape), std::move(data)};

@@ -45,11 +45,13 @@ inline std::ostream& operator<<(std::ostream& os, const shape_t& s) {
   return os << to_string(s);
 }
 
-/// Row-major strides for a shape (innermost dimension has stride 1).
+/// Row-major strides for a shape (innermost dimension has stride 1). Throws
+/// pelta::error past int64, which a zero extent hides from numel_of.
 inline shape_t strides_of(const shape_t& s) {
   shape_t st(s.size(), 1);
   for (int i = static_cast<int>(s.size()) - 2; i >= 0; --i)
-    st[i] = st[i + 1] * s[i + 1];
+    PELTA_CHECK_MSG(!__builtin_mul_overflow(st[i + 1], s[i + 1], &st[i]),
+                    "shape " << to_string(s) << " has a stride past 2^63 - 1");
   return st;
 }
 

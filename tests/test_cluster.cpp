@@ -407,6 +407,50 @@ TEST_F(ClusterTest, ChaosRunServesEveryRequestExactlyOnce) {
   EXPECT_EQ(total, static_cast<std::int64_t>(reqs.size()));
 }
 
+// One price for every modeled batch (core/cost_model.h): with a non-default
+// cost, the single server's batch records and every replica's executed
+// records charge cost.batch_ns(size), and the planner stamps each modeled
+// finish with cost.finish_ns(start, size).
+TEST_F(ClusterTest, EveryModeledBatchIsPricedByTheSharedCostModel) {
+  const std::vector<double> stamps = serve::make_poisson_arrivals(40, 3e5, 53);
+  const std::vector<serve::classify_request> reqs = make_requests(40, stamps);
+  serve::cluster_config config = base_config(3, serve::router_policy::least_loaded);
+  config.server.cost.batch_setup_ns = 1.3e6;
+  config.server.cost.compute_ns_per_sample = 3.7e5;
+  config.chaos.push_back({stamps[20], 1, true});
+  config.chaos.push_back({stamps[20] + 1e7, 1, false});
+  const core::cost_model& cost = config.server.cost;
+  const auto price = [&cost](std::size_t size) {
+    return cost.batch_ns(static_cast<std::int64_t>(size));
+  };
+
+  serve::model_backend single_backend{model_};
+  tee::enclave enclave;
+  serve::server single{single_backend, enclave, config.server};
+  const serve::serving_report single_report = single.run(reqs);
+  ASSERT_FALSE(single_report.batches.empty());
+  for (const serve::batch_record& b : single_report.batches)
+    EXPECT_EQ(b.compute_ns, price(b.request_ids.size()));
+
+  serve::model_backend backend{model_};
+  serve::cluster fleet{backend, config};
+  const serve::cluster_report report = fleet.run(reqs);
+  ASSERT_GT(report.plan.requeued, 0);
+  std::size_t executed = 0;
+  for (const serve::replica_report& rep : report.replicas) {
+    for (const serve::batch_record& b : rep.batches)
+      EXPECT_EQ(b.compute_ns, price(b.request_ids.size()));
+    executed += rep.batches.size();
+  }
+  EXPECT_GT(executed, 0u);
+  for (const serve::planned_cluster_batch& pb : report.plan.batches) {
+    if (pb.aborted) continue;
+    EXPECT_EQ(pb.planned_finish_ns,
+              cost.finish_ns(pb.planned_exec_start_ns,
+                             static_cast<std::int64_t>(pb.batch.members.size())));
+  }
+}
+
 // Throws from inside a replica whenever its batch holds a poisoned request
 // id. Keyed by id rather than by a shared call count, so which batch fails
 // does not depend on how replica tasks interleave.

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "core/cost_model.h"
 #include "fl/federation.h"
 #include "models/vit.h"
 
@@ -259,6 +260,47 @@ TEST(AsyncPlan, RejectsInvalidConfigs) {
   cfg.buffer_size = 2;
   cfg.max_staleness = -1;
   EXPECT_THROW(plan_uniform(cfg, 3, 1), error);
+}
+
+// An episode is its two transfer legs around the shared training price
+// (core/cost_model.h); the async side adds nothing of its own.
+TEST(AsyncPlan, EpisodeIsTwoTransfersAroundTheSharedTrainPrice) {
+  heterogeneity_config het;
+  het.bandwidth_spread = 3.0;
+  het.compute_spread = 2.0;
+  het.stragglers = 1;
+  het.straggler_slowdown = 5.0;
+  const network net;
+  const async_config cfg;
+  for (const client_profile& p : make_client_profiles(4, het)) {
+    const double leg = net.transfer_ns(1000, p);
+    const double train = core::cost_model{}.train_ns(37, 3, p.compute_scale);
+    EXPECT_EQ(async_episode_ns(cfg, p, 37, 3, 1000, net), leg + train + leg);
+    // The multiply order every pinned async schedule was computed with.
+    EXPECT_EQ(train, 2e5 * 3.0 * 37.0 * p.compute_scale);
+  }
+}
+
+// The sync barrier is priced with the same episodes: a round lasts as long
+// as its slowest participant's.
+TEST(AsyncPlan, SyncRoundLastsTheSlowestEpisode) {
+  federation_config cfg;
+  cfg.clients = 4;
+  cfg.compromised = 0;
+  cfg.async.heterogeneity.stragglers = 1;
+  cfg.async.heterogeneity.straggler_slowdown = 5.0;
+  const data::dataset ds = small_dataset();
+  federation fed{cfg, tiny_vit_factory(), ds};
+  const std::vector<client_profile> profiles =
+      make_client_profiles(cfg.clients, cfg.async.heterogeneity);
+  const auto payload = static_cast<std::int64_t>(fed.server().broadcast().size());
+  double slowest = 0.0;
+  for (std::int64_t c = 0; c < cfg.clients; ++c)
+    slowest = std::max(slowest, async_episode_ns(cfg.async, profiles[static_cast<std::size_t>(c)],
+                                                 fed.client(c).shard_size(), cfg.local.epochs,
+                                                 payload, network{}));
+  EXPECT_GT(slowest, 0.0);
+  EXPECT_EQ(fed.sync_round_ns(0), slowest);
 }
 
 // ---- end-to-end run_async --------------------------------------------------

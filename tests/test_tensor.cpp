@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "tensor/ops.h"
@@ -37,6 +38,14 @@ TEST(Shape, NumelOverflowThrows) {
   // anywhere keeps the product zero.
   EXPECT_EQ(numel_of({std::int64_t{1} << 62, 1}), std::int64_t{1} << 62);
   EXPECT_EQ(numel_of({0, big, big}), 0);
+}
+
+// Regression: strides_of multiplied extents unchecked. A zero outer extent
+// keeps numel at 0, yet the stride of that extent overflowed int64 (UB).
+TEST(Shape, StridesOverflowThrows) {
+  constexpr std::int64_t big = std::int64_t{1} << 40;
+  EXPECT_THROW(strides_of({0, big, big}), error);
+  EXPECT_EQ(strides_of({0, big}), (shape_t{big, 1}));
 }
 
 TEST(Tensor, DefaultIsScalarZero) {
@@ -273,6 +282,25 @@ TEST(Serialize, TrailingBytesThrow) {
   byte_buffer buf = to_bytes(tensor::ones({4}));
   buf.push_back(0);
   EXPECT_THROW(from_bytes(buf), error);
+}
+
+// Regression: the float vector was allocated before the length check, so a
+// 16-byte blob declaring 2^40 floats asked for 4 TiB instead of throwing.
+TEST(Serialize, HugeDeclaredShapeThrowsBeforeAllocating) {
+  const std::int64_t header[2] = {1, std::int64_t{1} << 40};  // rank, extent
+  byte_buffer buf(sizeof(header));
+  std::memcpy(buf.data(), header, sizeof(header));
+  EXPECT_THROW(from_bytes(buf), error);
+}
+
+// Regression: read_raw checked `offset + n <= size`, which wraps for an
+// offset near SIZE_MAX and let the read through.
+TEST(Serialize, OffsetPastEndThrows) {
+  const byte_buffer buf = to_bytes(tensor::ones({4}));
+  const std::size_t past_end = std::numeric_limits<std::size_t>::max() - 3;
+  std::size_t offset = past_end;
+  EXPECT_THROW(deserialize_tensor(buf, offset), error);
+  EXPECT_EQ(offset, past_end);  // rejected before anything was read
 }
 
 TEST(Rng, ForkIndependence) {
