@@ -44,6 +44,7 @@
 namespace {
 
 using namespace pelta;
+using bench::seconds_since;
 
 std::int64_t env_requests() {
   if (const char* v = std::getenv("PELTA_CLUSTER_REQUESTS")) return std::atoll(v);
@@ -58,24 +59,6 @@ int env_rounds() {
 double env_min_scale() {
   if (const char* v = std::getenv("PELTA_CLUSTER_MIN_SCALE")) return std::atof(v);
   return 6.0;
-}
-
-models::vit_config cluster_vit_config() {
-  models::vit_config c;
-  c.name = "cluster-vit";
-  c.image_size = 16;
-  c.patch_size = 4;
-  c.dim = 16;
-  c.heads = 2;
-  c.blocks = 1;
-  c.mlp_hidden = 32;
-  c.classes = 6;
-  c.seed = 2023;
-  return c;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 bool bits_equal(const tensor& a, const tensor& b) {
@@ -105,7 +88,7 @@ int main() {
               static_cast<long long>(n), rounds,
               static_cast<long long>(parallel_thread_count()), min_scale);
 
-  const models::vit_model model{cluster_vit_config()};
+  const models::vit_model model{bench::tiny_vit_config("cluster-vit")};
   serve::model_backend backend{model};
 
   // Saturating open-loop trace: 10 us mean gaps offer ~100 req/ms-sim against

@@ -39,6 +39,7 @@
 namespace {
 
 using pelta::rng;
+using pelta::bench::seconds_since;
 using pelta::ops::detail::finite_cache;
 using pelta::ops::detail::gemm_accumulate;
 using pelta::ops::detail::gemm_accumulate_bt;
@@ -72,10 +73,6 @@ const shape k_shapes[] = {
     {"vit.attn scores bmm per head", 17, 8, 17},
     {"vit.attn values bmm per head", 17, 17, 8},
 };
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
 
 // Reference and candidate are timed in interleaved rounds (A/B/A/B, best
 // of each) so host-load drift on a shared vCPU hits both sides instead of

@@ -52,6 +52,7 @@
 namespace {
 
 using namespace pelta;
+using bench::seconds_since;
 
 double env_speedup_threshold() {
   if (const char* v = std::getenv("PELTA_SERVE_MIN_SPEEDUP")) return std::atof(v);
@@ -61,24 +62,6 @@ double env_speedup_threshold() {
 double env_wall_ratio_threshold() {
   if (const char* v = std::getenv("PELTA_SERVE_MIN_WALL_RATIO")) return std::atof(v);
   return 1.0;
-}
-
-models::vit_config serving_vit_config() {
-  models::vit_config c;
-  c.name = "serving-vit";
-  c.image_size = 16;
-  c.patch_size = 4;
-  c.dim = 16;
-  c.heads = 2;
-  c.blocks = 1;
-  c.mlp_hidden = 32;
-  c.classes = 6;
-  c.seed = 2023;
-  return c;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 struct sweep_point {
@@ -135,7 +118,7 @@ int main() {
               parallel_thread_count(), static_cast<long long>(n),
               static_cast<long long>(rounds));
 
-  models::vit_model model{serving_vit_config()};
+  models::vit_model model{bench::tiny_vit_config("serving-vit")};
   const serve::server_config defaults{};  // default policy and compute cost model
 
   // A saturated open-loop workload: all requests pending at t=0, so the

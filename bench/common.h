@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 
 #include "data/dataset.h"
 #include "models/trainer.h"
+#include "models/vit.h"
 #include "models/zoo.h"
 
 namespace pelta::bench {
@@ -112,6 +114,27 @@ private:
   bool is_array_;
   std::vector<std::pair<std::string, std::string>> entries_;
 };
+
+/// Wall seconds elapsed since `t0` on the steady clock.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// The one-block, dim-16 ViT the serving and cluster benches drive; `name`
+/// is the label their reports print.
+inline models::vit_config tiny_vit_config(const std::string& name) {
+  models::vit_config c;
+  c.name = name;
+  c.image_size = 16;
+  c.patch_size = 4;
+  c.dim = 16;
+  c.heads = 2;
+  c.blocks = 1;
+  c.mlp_hidden = 32;
+  c.classes = 6;
+  c.seed = 2023;
+  return c;
+}
 
 inline std::int64_t env_int(const char* name, std::int64_t fallback) {
   if (const char* v = std::getenv(name)) {

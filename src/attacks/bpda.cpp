@@ -2,7 +2,6 @@
 
 #include "models/trainer.h"
 #include "models/zoo.h"
-#include "nn/optimizer.h"
 
 namespace pelta::attacks {
 
@@ -26,21 +25,18 @@ surrogate_result train_surrogate(const models::model& victim, const data::datase
     result.label_queries = attacker_data.train_size();
   }
 
-  nn::adam opt{config.lr};
-  data::batch_iterator batches{attacker_data.train_size(), config.batch_size,
-                               rng{config.seed + 1}};
-  for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    const std::int64_t nb = batches.batches_per_epoch();
-    for (std::int64_t i = 0; i < nb; ++i) {
-      const std::vector<std::int64_t> idx = batches.next();
-      data::batch b = attacker_data.gather_train(idx);
-      for (std::size_t k = 0; k < idx.size(); ++k)
-        b.labels[static_cast<std::int64_t>(k)] = labels[idx[k]];
-      result.surrogate->params().zero_grads();
-      models::loss_and_grad_sharded(*result.surrogate, b, config.shards);
-      opt.step(result.surrogate->params());
-    }
-  }
+  models::train_config tc;
+  tc.epochs = config.epochs;
+  tc.batch_size = config.batch_size;
+  tc.lr = config.lr;
+  tc.weight_decay = 0.0f;
+  tc.shards = config.shards;
+  models::train_epochs(*result.surrogate, attacker_data, tc,
+                       models::shuffled_order(attacker_data.train_size(), config.seed + 1),
+                       [&](data::batch& b, const std::vector<std::int64_t>& idx) {
+                         for (std::size_t k = 0; k < idx.size(); ++k)
+                           b.labels[static_cast<std::int64_t>(k)] = labels[idx[k]];
+                       });
 
   // Agreement: how often surrogate and victim answer alike on held-out data.
   const tensor sv = models::predict(*result.surrogate, attacker_data.test_images());

@@ -1,7 +1,6 @@
 #include "data/dataset.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "tensor/conv.h"
 #include "tensor/ops.h"
@@ -153,31 +152,6 @@ batch dataset::gather_train(const std::vector<std::int64_t>& indices) const {
     out.labels[row] = train_.labels[i];
   }
   return out;
-}
-
-batch_iterator::batch_iterator(std::int64_t dataset_size, std::int64_t batch_size, rng gen)
-    : size_{dataset_size}, batch_size_{batch_size}, gen_{gen} {
-  PELTA_CHECK(dataset_size > 0 && batch_size > 0);
-  order_.resize(static_cast<std::size_t>(size_));
-  std::iota(order_.begin(), order_.end(), 0);
-  reshuffle();
-}
-
-void batch_iterator::reshuffle() {
-  std::shuffle(order_.begin(), order_.end(), gen_.engine());
-  cursor_ = 0;
-}
-
-std::vector<std::int64_t> batch_iterator::next() {
-  if (cursor_ >= size_) reshuffle();
-  const std::int64_t take = std::min(batch_size_, size_ - cursor_);
-  std::vector<std::int64_t> out(order_.begin() + cursor_, order_.begin() + cursor_ + take);
-  cursor_ += take;
-  return out;
-}
-
-std::int64_t batch_iterator::batches_per_epoch() const {
-  return (size_ + batch_size_ - 1) / batch_size_;
 }
 
 }  // namespace pelta::data

@@ -88,23 +88,4 @@ private:
   batch test_;
 };
 
-/// Epoch shuffler producing deterministic mini-batch index lists.
-class batch_iterator {
-public:
-  batch_iterator(std::int64_t dataset_size, std::int64_t batch_size, rng gen);
-
-  /// Indices of the next mini-batch; reshuffles when the epoch is exhausted.
-  std::vector<std::int64_t> next();
-  std::int64_t batches_per_epoch() const;
-
-private:
-  void reshuffle();
-
-  std::int64_t size_;
-  std::int64_t batch_size_;
-  rng gen_;
-  std::vector<std::int64_t> order_;
-  std::int64_t cursor_ = 0;
-};
-
 }  // namespace pelta::data

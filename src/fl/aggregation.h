@@ -63,7 +63,7 @@ struct aggregation_config {
   staleness_weighting staleness = staleness_weighting::none;
 };
 
-/// Aggregate `updates` (snapshot_state payloads) into a fresh state buffer.
+/// Aggregate `updates` (models::save_state payloads) into a fresh state buffer.
 /// `reference` is the current global state — it defines the tensor
 /// structure and anchors delta-based rules. All updates must match it.
 byte_buffer aggregate_states(const byte_buffer& reference,

@@ -9,8 +9,7 @@
 
 namespace pelta::fl {
 
-double async_episode_ns(const async_config& /*config*/, const client_profile& profile,
-                        std::int64_t shard_size, std::int64_t epochs,
+double async_episode_ns(const client_profile& profile, std::int64_t shard_size, std::int64_t epochs,
                         std::int64_t payload_bytes, const network& net) {
   const double compute = core::cost_model{}.train_ns(shard_size, epochs, profile.compute_scale);
   return net.transfer_ns(payload_bytes, profile) + compute +
@@ -63,7 +62,7 @@ async_schedule plan_async_schedule(const async_config& config,
     job.start_version = version;
     job.start_ns = at_ns;
     job.finish_ns =
-        at_ns + async_episode_ns(config, profiles[c], shard_sizes[c], epochs, payload_bytes, net);
+        at_ns + async_episode_ns(profiles[c], shard_sizes[c], epochs, payload_bytes, net);
     plan.legs.push_back({job.client, /*upload=*/false, at_ns});  // broadcast leg
     const std::size_t index = plan.jobs.size();
     plan.jobs.push_back(job);

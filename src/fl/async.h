@@ -63,11 +63,10 @@ struct async_job {
 };
 
 /// Modeled duration of one client training episode: download the broadcast,
-/// train (core::cost_model::train_ns at the profile's compute_scale; `config`
-/// carries no price), upload the update. The async planner and
-/// federation::sync_round_ns price episodes through this.
-double async_episode_ns(const async_config& config, const client_profile& profile,
-                        std::int64_t shard_size, std::int64_t epochs,
+/// train (core::cost_model::train_ns at the profile's compute_scale), upload
+/// the update. The async planner and federation::sync_round_ns price
+/// episodes through this.
+double async_episode_ns(const client_profile& profile, std::int64_t shard_size, std::int64_t epochs,
                         std::int64_t payload_bytes, const network& net);
 
 /// One metered transfer leg, in simulated chronological order.

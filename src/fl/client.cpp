@@ -1,8 +1,8 @@
 #include "fl/client.h"
 
-#include "fl/state.h"
-#include "models/trainer.h"
-#include "nn/optimizer.h"
+#include <algorithm>
+
+#include "models/checkpoint.h"
 
 namespace pelta::fl {
 
@@ -14,37 +14,37 @@ fl_client::fl_client(std::int64_t id, std::unique_ptr<models::model> local_model
 }
 
 void fl_client::receive_global(const byte_buffer& global_parameters) {
-  install_state(*model_, global_parameters);
+  models::load_state(*model_, global_parameters);
 }
 
-model_update fl_client::local_update(const local_train_config& config) {
-  nn::adam opt{config.lr};
+void fl_client::train_local(const local_train_config& config, std::int64_t epochs,
+                            const models::batch_edit& edit) {
+  models::train_config tc;
+  tc.epochs = epochs;
+  tc.batch_size = config.batch_size;
+  tc.lr = config.lr;
+  tc.weight_decay = 0.0f;
   rng order_gen{config.seed + static_cast<std::uint64_t>(id_) * 7919 +
                 static_cast<std::uint64_t>(round_) * 104729};
   ++round_;
-
-  for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    // Shuffle the shard and iterate mini-batches.
+  models::train_epochs(*model_, *dataset_, tc, [&] {
     std::vector<std::int64_t> order = shard_;
     std::shuffle(order.begin(), order.end(), order_gen.engine());
-    for (std::size_t start = 0; start < order.size();
-         start += static_cast<std::size_t>(config.batch_size)) {
-      const std::size_t end =
-          std::min(order.size(), start + static_cast<std::size_t>(config.batch_size));
-      const std::vector<std::int64_t> indices(order.begin() + static_cast<std::ptrdiff_t>(start),
-                                              order.begin() + static_cast<std::ptrdiff_t>(end));
-      const data::batch b = dataset_->gather_train(indices);
-      model_->params().zero_grads();
-      models::loss_and_grad(*model_, b);
-      opt.step(model_->params());
-    }
-  }
+    return order;
+  }, edit);
+}
 
+model_update fl_client::make_update() const {
   model_update update;
   update.client_id = id_;
   update.sample_count = shard_size();
-  update.parameters = snapshot_state(*model_);
+  update.parameters = models::save_state(*model_);
   return update;
+}
+
+model_update fl_client::local_update(const local_train_config& config) {
+  train_local(config, config.epochs);
+  return make_update();
 }
 
 attacks::attack_result compromised_client::craft_adversarial(

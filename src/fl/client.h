@@ -12,7 +12,7 @@
 #include "attacks/runner.h"
 #include "data/dataset.h"
 #include "fl/network.h"
-#include "models/model.h"
+#include "models/trainer.h"
 #include "tensor/serialize.h"
 
 namespace pelta::fl {
@@ -58,9 +58,16 @@ public:
 protected:
   const std::vector<std::int64_t>& shard() const { return shard_; }
   const data::dataset& dataset() const { return *dataset_; }
-  /// Rounds this client has participated in (advanced by local_update).
+  /// Rounds this client has participated in (advanced by train_local).
   std::int64_t local_round() const { return round_; }
-  void advance_round() { ++round_; }
+  /// The local-training loop every client variant shares: `epochs` epochs
+  /// of models::train_epochs at config.lr, each a fresh shuffle of the shard
+  /// under the (seed, id, round) stream; advances the local round. `edit`
+  /// lets malicious variants rewrite each gathered batch.
+  void train_local(const local_train_config& config, std::int64_t epochs,
+                   const models::batch_edit& edit = {});
+  /// The FedAvg update carrying the local copy's current state.
+  model_update make_update() const;
 
 private:
   std::int64_t id_;

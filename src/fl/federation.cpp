@@ -62,8 +62,7 @@ double federation::sync_round_ns(std::int64_t round) const {
   double slowest = 0.0;
   for (const std::int64_t id : round_participant_ids(round)) {
     const auto c = static_cast<std::size_t>(id);
-    slowest = std::max(slowest, async_episode_ns(config_.async, profiles[c],
-                                                 clients_[c]->shard_size(),
+    slowest = std::max(slowest, async_episode_ns(profiles[c], clients_[c]->shard_size(),
                                                  config_.local.epochs, payload, network_));
   }
   return slowest;

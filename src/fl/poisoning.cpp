@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "fl/state.h"
-#include "models/trainer.h"
-#include "nn/optimizer.h"
+#include "models/checkpoint.h"
 #include "tensor/ops.h"
 
 namespace pelta::fl {
@@ -60,36 +58,18 @@ void backdoor_client::receive_global(const byte_buffer& global_parameters) {
 }
 
 model_update backdoor_client::local_update(const local_train_config& config) {
-  nn::adam opt{config.lr};
-  rng order_gen{config.seed + static_cast<std::uint64_t>(id()) * 7919 +
-                static_cast<std::uint64_t>(local_round()) * 104729};
-  advance_round();
-
-  const std::int64_t epochs = config.epochs * config_.extra_epochs_factor;
-  for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
-    std::vector<std::int64_t> order = shard();
-    std::shuffle(order.begin(), order.end(), order_gen.engine());
-    for (std::size_t start = 0; start < order.size();
-         start += static_cast<std::size_t>(config.batch_size)) {
-      const std::size_t end =
-          std::min(order.size(), start + static_cast<std::size_t>(config.batch_size));
-      const std::vector<std::int64_t> indices(order.begin() + static_cast<std::ptrdiff_t>(start),
-                                              order.begin() + static_cast<std::ptrdiff_t>(end));
-      data::batch b = dataset().gather_train(indices);
-      const auto poisoned = static_cast<std::int64_t>(
-          config_.poison_fraction * static_cast<float>(indices.size()));
-      poison_batch(b, poisoned, config_.trigger, config_.target_class);
-      local_model().params().zero_grads();
-      models::loss_and_grad(local_model(), b);
-      opt.step(local_model().params());
-    }
-  }
+  train_local(config, config.epochs * config_.extra_epochs_factor,
+              [&](data::batch& b, const std::vector<std::int64_t>& indices) {
+                const auto poisoned = static_cast<std::int64_t>(
+                    config_.poison_fraction * static_cast<float>(indices.size()));
+                poison_batch(b, poisoned, config_.trigger, config_.target_class);
+              });
 
   // Model replacement (Bagdasaryan et al.): scale the delta so FedAvg's
   // dilution by honest clients is cancelled.
   if (config_.boost > 1.0f) {
     PELTA_CHECK_MSG(!last_global_.empty(), "boost requires a received global model");
-    const byte_buffer local = snapshot_state(local_model());
+    const byte_buffer local = models::save_state(local_model());
     byte_buffer boosted;
     std::size_t lo = 0, go = 0;
     while (lo < local.size()) {
@@ -100,14 +80,9 @@ model_update backdoor_client::local_update(const local_train_config& config) {
         l[i] = g[i] + config_.boost * (l[i] - g[i]);
       serialize_tensor(l, boosted);
     }
-    install_state(local_model(), boosted);
+    models::load_state(local_model(), boosted);
   }
-
-  model_update update;
-  update.client_id = id();
-  update.sample_count = shard_size();
-  update.parameters = snapshot_state(local_model());
-  return update;
+  return make_update();
 }
 
 float backdoor_success_rate(const models::model& m, const data::dataset& ds,
@@ -164,45 +139,19 @@ model_update evasion_poison_client::local_update(const local_train_config& confi
 
   // 2. Honest-looking local training, with the replay set mixed in under
   //    the attacker's labels (Bhagoji et al.'s repeated-misclassification).
-  nn::adam opt{config.lr};
-  rng order_gen{config.seed + static_cast<std::uint64_t>(id()) * 7919 +
-                static_cast<std::uint64_t>(local_round()) * 104729};
-  advance_round();
-  for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    std::vector<std::int64_t> order = shard();
-    std::shuffle(order.begin(), order.end(), order_gen.engine());
-    for (std::size_t start = 0; start < order.size();
-         start += static_cast<std::size_t>(config.batch_size)) {
-      const std::size_t end =
-          std::min(order.size(), start + static_cast<std::size_t>(config.batch_size));
-      const std::vector<std::int64_t> indices(order.begin() + static_cast<std::ptrdiff_t>(start),
-                                              order.begin() + static_cast<std::ptrdiff_t>(end));
-      data::batch b = dataset().gather_train(indices);
-
-      // splice up to batch_size/2 replay samples into the batch (most
-      // recent first — those were crafted against the freshest weights)
-      const std::int64_t n = b.labels.numel();
-      const std::int64_t chw = b.images.numel() / n;
-      const auto splice = std::min<std::int64_t>(
-          {n / 2, static_cast<std::int64_t>(replay_.size())});
-      for (std::int64_t i = 0; i < splice; ++i) {
-        const replay_sample& s = replay_[replay_.size() - 1 - static_cast<std::size_t>(i)];
-        std::copy(s.x_adv.data().begin(), s.x_adv.data().end(),
-                  b.images.data().begin() + i * chw);
-        b.labels[i] = static_cast<float>(s.adopted_label);
-      }
-
-      local_model().params().zero_grads();
-      models::loss_and_grad(local_model(), b);
-      opt.step(local_model().params());
+  train_local(config, config.epochs, [&](data::batch& b, const std::vector<std::int64_t>&) {
+    // splice up to batch_size/2 replay samples into the batch (most recent
+    // first — those were crafted against the freshest weights)
+    const std::int64_t n = b.labels.numel();
+    const std::int64_t chw = b.images.numel() / n;
+    const auto splice = std::min<std::int64_t>(n / 2, static_cast<std::int64_t>(replay_.size()));
+    for (std::int64_t i = 0; i < splice; ++i) {
+      const replay_sample& s = replay_[replay_.size() - 1 - static_cast<std::size_t>(i)];
+      std::copy(s.x_adv.data().begin(), s.x_adv.data().end(), b.images.data().begin() + i * chw);
+      b.labels[i] = static_cast<float>(s.adopted_label);
     }
-  }
-
-  model_update update;
-  update.client_id = id();
-  update.sample_count = shard_size();
-  update.parameters = snapshot_state(local_model());
-  return update;
+  });
+  return make_update();
 }
 
 float replay_attack_rate(const models::model& m,

@@ -1,6 +1,6 @@
 #include "fl/server.h"
 
-#include "fl/state.h"
+#include "models/checkpoint.h"
 
 namespace pelta::fl {
 
@@ -9,7 +9,7 @@ fl_server::fl_server(std::unique_ptr<models::model> global_model)
   PELTA_CHECK_MSG(model_ != nullptr, "server needs a global model");
 }
 
-byte_buffer fl_server::broadcast() const { return snapshot_state(*model_); }
+byte_buffer fl_server::broadcast() const { return models::save_state(*model_); }
 
 void fl_server::aggregate(const std::vector<model_update>& updates) {
   aggregate(updates, aggregation_config{});  // default rule: FedAvg
@@ -17,7 +17,7 @@ void fl_server::aggregate(const std::vector<model_update>& updates) {
 
 void fl_server::aggregate(const std::vector<model_update>& updates,
                           const aggregation_config& config) {
-  install_state(*model_, aggregate_states(snapshot_state(*model_), updates, config));
+  models::load_state(*model_, aggregate_states(models::save_state(*model_), updates, config));
   ++round_;
 }
 

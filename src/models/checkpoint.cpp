@@ -32,16 +32,29 @@ T read_pod(std::ifstream& in, const char* what) {
   return v;
 }
 
-byte_buffer full_state(const model& m) {
-  byte_buffer payload = m.params().save_values();
-  for (const ad::batchnorm_stats* bn : m.batchnorm_buffers()) {
-    serialize_tensor(bn->running_mean, payload);
-    serialize_tensor(bn->running_var, payload);
+}  // namespace
+
+byte_buffer save_state(const model& m) {
+  byte_buffer out = m.params().save_values();
+  for (const ad::batchnorm_stats* s : m.batchnorm_buffers()) {
+    serialize_tensor(s->running_mean, out);
+    serialize_tensor(s->running_var, out);
   }
-  return payload;
+  return out;
 }
 
-}  // namespace
+void load_state(model& m, const byte_buffer& buf) {
+  std::size_t offset = m.params().load_values_at(buf, 0);
+  for (ad::batchnorm_stats* s : m.batchnorm_buffers()) {
+    tensor mean = deserialize_tensor(buf, offset);
+    tensor var = deserialize_tensor(buf, offset);
+    PELTA_CHECK_MSG(mean.same_shape(s->running_mean) && var.same_shape(s->running_var),
+                    "batch-norm buffer shape mismatch on install");
+    s->running_mean = std::move(mean);
+    s->running_var = std::move(var);
+  }
+  PELTA_CHECK_MSG(offset == buf.size(), "trailing bytes in model-state payload");
+}
 
 void save_checkpoint(const model& m, const std::string& path) {
   std::ofstream out{path, std::ios::binary | std::ios::trunc};
@@ -53,7 +66,7 @@ void save_checkpoint(const model& m, const std::string& path) {
   write_pod(out, static_cast<std::uint32_t>(name.size()));
   out.write(name.data(), static_cast<std::streamsize>(name.size()));
 
-  const byte_buffer payload = full_state(m);
+  const byte_buffer payload = save_state(m);
   write_pod(out, static_cast<std::uint64_t>(payload.size()));
   out.write(reinterpret_cast<const char*>(payload.data()),
             static_cast<std::streamsize>(payload.size()));
@@ -102,18 +115,11 @@ void load_checkpoint(model& m, const std::string& path, bool ignore_name) {
   if (fnv1a(payload.data(), payload.size()) != stored_sum)
     throw checkpoint_error{"checkpoint payload corrupted (checksum mismatch): " + path};
 
-  // Parameters first; whatever follows must exactly fill the BN buffers.
-  std::size_t offset = m.params().load_values_at(payload, 0);
-  for (ad::batchnorm_stats* bn : m.batchnorm_buffers()) {
-    tensor mean = deserialize_tensor(payload, offset);
-    tensor var = deserialize_tensor(payload, offset);
-    if (!mean.same_shape(bn->running_mean) || !var.same_shape(bn->running_var))
-      throw checkpoint_error{"checkpoint batch-norm buffers do not match the architecture"};
-    bn->running_mean = std::move(mean);
-    bn->running_var = std::move(var);
+  try {
+    load_state(m, payload);
+  } catch (const error& e) {
+    throw checkpoint_error{"checkpoint does not fit the architecture: " + std::string{e.what()}};
   }
-  if (offset != payload.size())
-    throw checkpoint_error{"checkpoint holds trailing state the architecture cannot place"};
 }
 
 std::string checkpoint_model_name(const std::string& path) {

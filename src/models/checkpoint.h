@@ -1,13 +1,16 @@
-// Model checkpointing — durable persistence of a trained model's full
-// state (parameters + batch-norm running statistics).
+// Model-state codec and checkpointing — a trained model's full state
+// (parameters + batch-norm running statistics).
 //
-// The FL wire format (fl/state.h) is transient by design; checkpoints are
-// what a deployment stores between sessions: examples and downstream users
-// train once and reload, and a defender can pin the exact weights whose
-// frontier the enclave protects. The format is versioned, self-describing
-// (architecture name + per-tensor shapes) and integrity-checked, so a
-// corrupted or mismatched file fails loudly instead of silently degrading
-// the model.
+// save_state/load_state is the one codec for that state. It is the FL wire
+// payload: aggregating only the parameters would leave the global model
+// with untrained BN statistics — the classic BN-in-FL pitfall — so
+// broadcast, upload and FedAvg all carry both. The wire is transient by
+// design; a checkpoint wraps the same payload in what a deployment stores
+// between sessions: examples and downstream users train once and reload,
+// and a defender can pin the exact weights whose frontier the enclave
+// protects. The file format is versioned, self-describing (architecture
+// name + per-tensor shapes) and integrity-checked, so a corrupted or
+// mismatched file fails loudly instead of silently degrading the model.
 //
 // Layout (little-endian):
 //   magic "PELTACKP" | u32 version | u32 name length | name bytes
@@ -18,8 +21,17 @@
 #include <string>
 
 #include "models/model.h"
+#include "tensor/serialize.h"
 
 namespace pelta::models {
+
+/// Serialize `m`'s parameters (creation order) followed by each batch-norm
+/// layer's running mean and variance.
+byte_buffer save_state(const model& m);
+
+/// Install a save_state payload into an identically structured model.
+/// Throws pelta::error on a shape mismatch or trailing bytes.
+void load_state(model& m, const byte_buffer& buf);
 
 /// Raised on any malformed, truncated, corrupted or mismatched checkpoint.
 class checkpoint_error : public error {

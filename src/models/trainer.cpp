@@ -1,7 +1,7 @@
 #include "models/trainer.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <numeric>
 
 #include "autodiff/ops_loss.h"
 #include "nn/optimizer.h"
@@ -58,29 +58,47 @@ float loss_and_grad_sharded(model& m, const data::batch& b, std::int64_t shards)
   return static_cast<float>(total_loss);
 }
 
-train_report train_model(model& m, const data::dataset& ds, const train_config& config) {
+epoch_order shuffled_order(std::int64_t n, std::uint64_t seed) {
+  PELTA_CHECK_MSG(n > 0, "cannot order an empty split");
+  std::vector<std::int64_t> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  return [order = std::move(order), gen = rng{seed}]() mutable {
+    std::shuffle(order.begin(), order.end(), gen.engine());
+    return order;
+  };
+}
+
+float train_epochs(model& m, const data::dataset& ds, const train_config& config,
+                   const epoch_order& order, const batch_edit& edit) {
+  PELTA_CHECK_MSG(config.batch_size > 0, "batch_size must be positive");
   nn::adam opt{config.lr, 0.9f, 0.999f, 1e-8f, config.weight_decay};
-  data::batch_iterator batches{ds.train_size(), config.batch_size, rng{config.seed}};
+  const auto bs = static_cast<std::size_t>(config.batch_size);
 
   float last_loss = 0.0f;
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
+    const std::vector<std::int64_t> visit = order();
+    PELTA_CHECK_MSG(!visit.empty(), "epoch order is empty");
     double epoch_loss = 0.0;
-    const std::int64_t nb = batches.batches_per_epoch();
-    for (std::int64_t i = 0; i < nb; ++i) {
-      const data::batch b = ds.gather_train(batches.next());
+    for (std::size_t start = 0; start < visit.size(); start += bs) {
+      const std::vector<std::int64_t> indices(
+          visit.begin() + static_cast<std::ptrdiff_t>(start),
+          visit.begin() + static_cast<std::ptrdiff_t>(std::min(visit.size(), start + bs)));
+      data::batch b = ds.gather_train(indices);
+      if (edit) edit(b, indices);
       m.params().zero_grads();
       epoch_loss += loss_and_grad_sharded(m, b, config.shards);
       opt.step(m.params());
     }
-    last_loss = static_cast<float>(epoch_loss / static_cast<double>(nb));
-    if (config.verbose)
-      std::printf("  [%s] epoch %lld/%lld loss %.4f\n", m.name().c_str(),
-                  static_cast<long long>(epoch + 1), static_cast<long long>(config.epochs),
-                  last_loss);
+    const std::size_t batches = (visit.size() + bs - 1) / bs;
+    last_loss = static_cast<float>(epoch_loss / static_cast<double>(batches));
   }
+  return last_loss;
+}
 
+train_report train_model(model& m, const data::dataset& ds, const train_config& config) {
   train_report report;
-  report.final_loss = last_loss;
+  report.final_loss =
+      train_epochs(m, ds, config, shuffled_order(ds.train_size(), config.seed));
   report.train_accuracy = accuracy(m, ds.train_images(), ds.train_labels());
   report.test_accuracy = accuracy(m, ds.test_images(), ds.test_labels());
   return report;

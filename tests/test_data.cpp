@@ -4,6 +4,8 @@
 #include <set>
 
 #include "data/dataset.h"
+#include "models/mlp.h"
+#include "models/trainer.h"
 #include "tensor/ops.h"
 
 namespace pelta::data {
@@ -102,19 +104,37 @@ TEST(Dataset, GatherTrainSelectsRows) {
   EXPECT_THROW(ds.gather_train({99}), error);
 }
 
+// The mini-batch stream over the train split: models::shuffled_order gives
+// each epoch's visit order, models::train_epochs slices it into batches.
 TEST(BatchIterator, CoversEpochWithoutRepeats) {
-  batch_iterator it{10, 3, rng{1}};
-  EXPECT_EQ(it.batches_per_epoch(), 4);
+  dataset_config c = tiny_config();
+  c.classes = 2;
+  c.train_per_class = 5;
+  const dataset ds{c};  // 10 train samples
+  models::mlp_config mc;
+  mc.classes = 2;
+  mc.hidden = {4};
+  models::mlp_model m{mc};
+  models::train_config tc;
+  tc.epochs = 1;
+  tc.batch_size = 3;
+  tc.seed = 1;
+
+  std::int64_t batches = 0;
   std::set<std::int64_t> seen;
-  for (int b = 0; b < 4; ++b)
-    for (std::int64_t i : it.next()) seen.insert(i);
+  models::train_epochs(m, ds, tc, models::shuffled_order(ds.train_size(), tc.seed),
+                       [&](batch&, const std::vector<std::int64_t>& indices) {
+                         ++batches;
+                         seen.insert(indices.begin(), indices.end());
+                       });
+  EXPECT_EQ(batches, 4);
   EXPECT_EQ(seen.size(), 10u);
 }
 
 TEST(BatchIterator, ReshufflesBetweenEpochs) {
-  batch_iterator it{64, 64, rng{2}};
-  const auto e1 = it.next();
-  const auto e2 = it.next();
+  const models::epoch_order order = models::shuffled_order(64, 2);
+  const auto e1 = order();
+  const auto e2 = order();
   EXPECT_NE(e1, e2);  // astronomically unlikely to coincide
 }
 

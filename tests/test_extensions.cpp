@@ -4,7 +4,7 @@
 
 #include "attacks/bpda.h"
 #include "autodiff/ops_loss.h"
-#include "fl/state.h"
+#include "models/checkpoint.h"
 #include "models/trainer.h"
 #include "models/zoo.h"
 #include "shield/baselines.h"
@@ -176,7 +176,7 @@ TEST(FlState, SnapshotRoundTripsParamsOnly) {
   auto b = models::make_vit_b16_sim(tiny_task());
   rng gen{2};
   a->params().get("head.w").value = tensor::randn(gen, {32, 4});
-  fl::install_state(*b, fl::snapshot_state(*a));
+  models::load_state(*b, models::save_state(*a));
   EXPECT_LT(ops::norm_linf(ops::sub(a->params().get("head.w").value,
                                     b->params().get("head.w").value)),
             1e-7f);
@@ -191,7 +191,7 @@ TEST(FlState, SnapshotCarriesBatchnormBuffers) {
   // Mutate a's running stats (as local training would).
   a->batchnorm_buffers()[0]->running_mean.fill_(0.7f);
   a->batchnorm_buffers()[0]->running_var.fill_(2.5f);
-  fl::install_state(*b, fl::snapshot_state(*a));
+  models::load_state(*b, models::save_state(*a));
   EXPECT_FLOAT_EQ(b->batchnorm_buffers()[0]->running_mean[0], 0.7f);
   EXPECT_FLOAT_EQ(b->batchnorm_buffers()[0]->running_var[0], 2.5f);
 }
@@ -203,9 +203,9 @@ TEST(FlState, BitHasNoBatchnormState) {
 
 TEST(FlState, InstallRejectsTruncatedPayload) {
   auto a = models::make_resnet56_sim(tiny_task());
-  byte_buffer buf = fl::snapshot_state(*a);
+  byte_buffer buf = models::save_state(*a);
   buf.resize(buf.size() - 8);
-  EXPECT_THROW(fl::install_state(*a, buf), error);
+  EXPECT_THROW(models::load_state(*a, buf), error);
 }
 
 }  // namespace

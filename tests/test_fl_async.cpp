@@ -271,11 +271,10 @@ TEST(AsyncPlan, EpisodeIsTwoTransfersAroundTheSharedTrainPrice) {
   het.stragglers = 1;
   het.straggler_slowdown = 5.0;
   const network net;
-  const async_config cfg;
   for (const client_profile& p : make_client_profiles(4, het)) {
     const double leg = net.transfer_ns(1000, p);
     const double train = core::cost_model{}.train_ns(37, 3, p.compute_scale);
-    EXPECT_EQ(async_episode_ns(cfg, p, 37, 3, 1000, net), leg + train + leg);
+    EXPECT_EQ(async_episode_ns(p, 37, 3, 1000, net), leg + train + leg);
     // The multiply order every pinned async schedule was computed with.
     EXPECT_EQ(train, 2e5 * 3.0 * 37.0 * p.compute_scale);
   }
@@ -296,7 +295,7 @@ TEST(AsyncPlan, SyncRoundLastsTheSlowestEpisode) {
   const auto payload = static_cast<std::int64_t>(fed.server().broadcast().size());
   double slowest = 0.0;
   for (std::int64_t c = 0; c < cfg.clients; ++c)
-    slowest = std::max(slowest, async_episode_ns(cfg.async, profiles[static_cast<std::size_t>(c)],
+    slowest = std::max(slowest, async_episode_ns(profiles[static_cast<std::size_t>(c)],
                                                  fed.client(c).shard_size(), cfg.local.epochs,
                                                  payload, network{}));
   EXPECT_GT(slowest, 0.0);

@@ -5,7 +5,7 @@
 
 #include "fl/poisoning.h"
 #include "fl/server.h"
-#include "fl/state.h"
+#include "tensor/serialize.h"
 #include "models/trainer.h"
 #include "models/zoo.h"
 #include "tensor/kernels.h"  // detail::fmadd — the accumulation-policy reference

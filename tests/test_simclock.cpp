@@ -168,7 +168,7 @@ fl::async_schedule reference_async_plan(const fl::async_config& config,
     job.client = static_cast<std::int64_t>(c);
     job.start_version = version;
     job.start_ns = now_ns;
-    job.finish_ns = now_ns + fl::async_episode_ns(config, profiles[c], shard_sizes[c], epochs,
+    job.finish_ns = now_ns + fl::async_episode_ns(profiles[c], shard_sizes[c], epochs,
                                                   payload_bytes, net);
     plan.legs.push_back({job.client, false, now_ns});
     const std::size_t index = plan.jobs.size();
