@@ -5,6 +5,9 @@
 // which this bench pins to at least 8 before first use — and reports the
 // per-round wall clock, speedup over the 1-thread schedule, and a
 // bit-identity check of the aggregated global parameters across widths.
+// Standard output carries only the configuration and the bit-identity
+// verdict, so it is byte-identical across hosts and PELTA_THREADS and can be
+// diffed; the pool width and the wall-clock table go to standard error.
 //
 //   PELTA_CLIENTS=8 PELTA_ROUNDS=2 PELTA_TRAIN_PER_CLASS=60 ./bench_fl_scaling
 #include <chrono>
@@ -44,9 +47,9 @@ int main() {
   const std::int64_t clients = bench::env_int("PELTA_CLIENTS", 8);
   const std::int64_t rounds = bench::env_int("PELTA_ROUNDS", 2);
   s.print("bench_fl_scaling");
-  std::printf("pool: PELTA_THREADS=%d (hardware threads visible: %u)\n",
-              parallel_thread_count(), std::thread::hardware_concurrency());
-  std::printf("federation: %lld clients, %lld round(s) per leg, 1 local epoch\n\n",
+  std::fprintf(stderr, "pool: PELTA_THREADS=%d (hardware threads visible: %u)\n",
+               parallel_thread_count(), std::thread::hardware_concurrency());
+  std::printf("federation: %lld clients, %lld round(s) per leg, 1 local epoch\n",
               static_cast<long long>(clients), static_cast<long long>(rounds));
 
   const data::dataset ds = bench::make_scaled_dataset("cifar10_like", s);
@@ -76,16 +79,17 @@ int main() {
     globals.push_back(fed.server().broadcast());
   }
 
-  std::printf("%-8s %14s %10s\n", "threads", "ms/round", "speedup");
+  std::fprintf(stderr, "%-8s %14s %10s\n", "threads", "ms/round", "speedup");
   bool identical = true;
   for (std::size_t i = 0; i < widths.size(); ++i) {
-    std::printf("%-8d %14.1f %9.2fx\n", widths[i], per_round_ms[i],
-                per_round_ms[0] / per_round_ms[i]);
+    std::fprintf(stderr, "%-8d %14.1f %9.2fx\n", widths[i], per_round_ms[i],
+                 per_round_ms[0] / per_round_ms[i]);
     identical = identical && globals[i] == globals[0];
   }
-  std::printf("\nglobal parameters bit-identical across widths: %s\n",
+  std::fprintf(stderr,
+               "(wall-clock speedup requires >= as many hardware cores as threads;\n"
+               " the bit-identity verdict must hold on any machine)\n");
+  std::printf("global parameters bit-identical across widths 1/2/4/8: %s\n",
               identical ? "yes" : "NO — DETERMINISM BUG");
-  std::printf("(wall-clock speedup requires >= as many hardware cores as threads;\n"
-              " the bit-identity column must hold on any machine)\n");
   return identical ? 0 : 1;
 }

@@ -8,8 +8,8 @@
 // speedup threshold on the two largest shapes (default 3x; override or
 // disable via PELTA_KERNELS_MIN_SPEEDUP), if the int8 quantized path is
 // below its own threshold on the same two shapes (default 2x vs the blocked
-// fp32 kernel where VNNI exists, 1.5x on plain AVX2;
-// PELTA_QKERNELS_MIN_SPEEDUP), or if a
+// fp32 kernel on the avx512 kernel tier, 1.5x on avx2, picked from the tier
+// the run dispatched to; PELTA_QKERNELS_MIN_SPEEDUP), or if a
 // steady-state conv2d call still allocates, or if any kernel output
 // mismatches its reference bitwise. Everything runs single-thread: this is
 // the serial inner-kernel baseline the thread-pool scaling bench multiplies.
@@ -103,13 +103,13 @@ struct result {
   double bt_ref_gflops = 0, bt_gflops = 0, bt_speedup = 0;
 };
 
-// Default speedup gate: 3x where FMA exists (PELTA_NATIVE builds — the CI
-// leg that runs this bench). The portable SSE2 baseline has no headroom for
-// it: the naive kernel's 4-wide mul+add saxpy already runs near that ISA's
-// peak, so the gate defaults to report-only there.
+// Default speedup gate: 3x on the fused build (PELTA_NATIVE — the CI leg
+// that first ran this bench). The portable build defaults to report-only:
+// on its sse2 tier the naive kernel's 4-wide mul+add saxpy already runs
+// near that ISA's peak, so there is no such headroom to gate.
 double env_threshold() {
   if (const char* v = std::getenv("PELTA_KERNELS_MIN_SPEEDUP")) return std::atof(v);
-#if defined(__FMA__)
+#if defined(PELTA_FUSED_MADD)
   return 3.0;
 #else
   return 0.0;
@@ -130,27 +130,28 @@ struct qresult {
   double fp32_gflops = 0, int8_gflops = 0, speedup = 0;
 };
 
-// Int8 gate: 2x over the blocked fp32 kernel where vpdpbusd exists (VNNI —
-// the PELTA_NATIVE CI leg on current hosts); 1.5x on plain AVX2, whose
+// Int8 gate, from the kernel tier this run dispatched to (any build): 2x
+// over the blocked fp32 kernel on the avx512 tier, whose vpdpbusd is one
+// VNNI instruction per k-group; 1.5x on the avx2 tier, whose
 // vpmaddubsw+vpmaddwd form spends three ALU ops where VNNI spends one and
-// measures ~1.9x on the largest shapes; report-only on the portable
-// baseline, whose scalar 4-byte-group int8 loop has no such headroom.
-double env_int8_threshold() {
+// measures ~1.9x on the largest shapes; report-only on the sse2 tier, whose
+// plain int32 multiplies have no such headroom.
+double env_int8_threshold(pelta::ops::detail::isa tier) {
   if (const char* v = std::getenv("PELTA_QKERNELS_MIN_SPEEDUP")) return std::atof(v);
-#if (defined(__AVX512VNNI__) && defined(__AVX512F__)) || defined(__AVXVNNI__)
-  return 2.0;
-#elif defined(__AVX2__)
-  return 1.5;
-#else
-  return 0.0;
-#endif
+  switch (tier) {
+    case pelta::ops::detail::isa::avx512: return 2.0;
+    case pelta::ops::detail::isa::avx2: return 1.5;
+    default: return 0.0;
+  }
 }
 
 }  // namespace
 
 int main() {
+  const pelta::ops::detail::kernel_table& tier = pelta::ops::detail::active_kernels();
   std::printf("[bench_kernels] blocked GEMM micro-kernel vs pre-PR naive kernel "
-              "(single thread)\n\n");
+              "(single thread, kernel tier %s)\n\n",
+              tier.name);
   rng gen{2023};
   bool bits_ok = true;
   std::vector<result> results;
@@ -356,7 +357,7 @@ int main() {
   std::sort(q_by_flops.begin(), q_by_flops.end(),
             [](const qresult* x, const qresult* y) { return x->s.flops() > y->s.flops(); });
   const double min_large_q_speedup = std::min(q_by_flops[0]->speedup, q_by_flops[1]->speedup);
-  const double q_threshold = env_int8_threshold();
+  const double q_threshold = env_int8_threshold(tier.tier);
   std::printf("int8 two largest shapes: %.2fx / %.2fx (threshold %.1fx)\n",
               q_by_flops[0]->speedup, q_by_flops[1]->speedup, q_threshold);
 
@@ -401,6 +402,7 @@ int main() {
     pelta::bench::json::object()
         .field("bench", "kernels")
         .field("threads", 1)
+        .field("isa_tier", tier.name)
         .field("gemm", gemm)
         .field("int8", int8)
         .field("mathfn", mathfn)

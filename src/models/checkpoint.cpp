@@ -44,16 +44,27 @@ byte_buffer save_state(const model& m) {
 }
 
 void load_state(model& m, const byte_buffer& buf) {
-  std::size_t offset = m.params().load_values_at(buf, 0);
-  for (ad::batchnorm_stats* s : m.batchnorm_buffers()) {
+  // Decode and check everything first: a rejected payload must leave the
+  // model exactly as it was, not half-overwritten.
+  std::size_t offset = 0;
+  std::vector<tensor> params = m.params().decode_values_at(buf, offset);
+  const std::vector<ad::batchnorm_stats*> stats = m.batchnorm_buffers();
+  std::vector<tensor> buffers;  // mean, var per batch-norm layer
+  buffers.reserve(2 * stats.size());
+  for (const ad::batchnorm_stats* s : stats) {
     tensor mean = deserialize_tensor(buf, offset);
     tensor var = deserialize_tensor(buf, offset);
     PELTA_CHECK_MSG(mean.same_shape(s->running_mean) && var.same_shape(s->running_var),
                     "batch-norm buffer shape mismatch on install");
-    s->running_mean = std::move(mean);
-    s->running_var = std::move(var);
+    buffers.push_back(std::move(mean));
+    buffers.push_back(std::move(var));
   }
   PELTA_CHECK_MSG(offset == buf.size(), "trailing bytes in model-state payload");
+  m.params().install_values(std::move(params));
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    stats[i]->running_mean = std::move(buffers[2 * i]);
+    stats[i]->running_var = std::move(buffers[2 * i + 1]);
+  }
 }
 
 void save_checkpoint(const model& m, const std::string& path) {

@@ -30,7 +30,8 @@ namespace pelta::models {
 byte_buffer save_state(const model& m);
 
 /// Install a save_state payload into an identically structured model.
-/// Throws pelta::error on a shape mismatch or trailing bytes.
+/// Throws pelta::error on a short payload, a shape mismatch or trailing
+/// bytes — and then leaves every parameter and batch-norm buffer as it was.
 void load_state(model& m, const byte_buffer& buf);
 
 /// Raised on any malformed, truncated, corrupted or mismatched checkpoint.

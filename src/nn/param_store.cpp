@@ -43,18 +43,32 @@ byte_buffer param_store::save_values() const {
 }
 
 void param_store::load_values(const byte_buffer& buf) {
-  const std::size_t offset = load_values_at(buf, 0);
+  std::size_t offset = 0;
+  std::vector<tensor> values = decode_values_at(buf, offset);
   PELTA_CHECK_MSG(offset == buf.size(), "trailing bytes in parameter payload");
+  install_values(std::move(values));
 }
 
 std::size_t param_store::load_values_at(const byte_buffer& buf, std::size_t offset) {
-  for (auto& p : params_) {
+  install_values(decode_values_at(buf, offset));
+  return offset;
+}
+
+std::vector<tensor> param_store::decode_values_at(const byte_buffer& buf,
+                                                  std::size_t& offset) const {
+  std::vector<tensor> values;
+  values.reserve(params_.size());
+  for (const auto& p : params_) {
     tensor t = deserialize_tensor(buf, offset);
     PELTA_CHECK_MSG(t.same_shape(p->value),
                     "parameter " << p->name << " shape mismatch on load");
-    p->value = std::move(t);
+    values.push_back(std::move(t));
   }
-  return offset;
+  return values;
+}
+
+void param_store::install_values(std::vector<tensor> values) noexcept {
+  for (std::size_t i = 0; i < params_.size(); ++i) params_[i]->value = std::move(values[i]);
 }
 
 void param_store::axpy_values(const param_store& other, float scale) {

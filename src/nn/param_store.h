@@ -41,11 +41,22 @@ public:
 
   /// Flatten all parameter values (in creation order) to bytes / restore.
   /// Shapes must match on load — this is the FL model-update payload.
+  /// Loads are all-or-nothing: every tensor is decoded and shape-checked
+  /// (and, for load_values, the payload checked for trailing bytes) before
+  /// the first value is replaced, so a rejected payload leaves the store
+  /// untouched.
   byte_buffer save_values() const;
   void load_values(const byte_buffer& buf);
   /// Load starting at `offset`; returns the offset past the parameters
   /// (lets callers append further state, e.g. batch-norm buffers).
   std::size_t load_values_at(const byte_buffer& buf, std::size_t offset);
+  /// The decode half of a load: every parameter's value from `buf` at
+  /// `offset` (advanced past them), shape-checked against the store but
+  /// not installed. Throws pelta::error on a short or mismatched payload.
+  std::vector<tensor> decode_values_at(const byte_buffer& buf, std::size_t& offset) const;
+  /// The install half: replaces every value, in creation order, with
+  /// tensors decode_values_at returned. Cannot fail.
+  void install_values(std::vector<tensor> values) noexcept;
 
   /// Elementwise in-place: value += scale * other.value (FedAvg merges).
   void axpy_values(const param_store& other, float scale);

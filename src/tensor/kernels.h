@@ -17,65 +17,32 @@
 #include <cmath>
 #include <cstdint>
 
-#if defined(__FMA__) && (defined(__x86_64__) || defined(__i386__))
-#include <immintrin.h>
-#endif
+#include "tensor/kernel_tiers.h"
 
 namespace pelta::ops::detail {
 
-/// Lanes of the GEMM strip's vectors: the widest fp32 vector the compile
-/// target has (SSE2 on the portable build, AVX/AVX-512 under PELTA_NATIVE).
-#if defined(__AVX512F__)
-inline constexpr int k_gemm_lanes = 16;
-#elif defined(__AVX__)
-inline constexpr int k_gemm_lanes = 8;
-#else
-inline constexpr int k_gemm_lanes = 4;
-#endif
+/// Rows per register strip of the blocked GEMM, the same on every tier
+/// (the strip's columns, kernel_table::gemm_nr, are two vectors of the
+/// tier's lanes). Callers that split rows across threads should round their
+/// chunk grain up to k_gemm_mr so mid-matrix chunks keep full row tiles
+/// (values are grain-independent either way; this is purely a throughput
+/// concern).
+inline constexpr std::int64_t k_gemm_mr = 4;
 
-/// Register-strip extents of the blocked GEMM in kernels.cpp. Callers that
-/// split rows across threads should round their chunk grain up to
-/// k_gemm_mr so mid-matrix chunks keep full row tiles (values are
-/// grain-independent either way; this is purely a throughput concern).
-inline constexpr std::int64_t k_gemm_mr = 4;                 // rows per strip
-inline constexpr std::int64_t k_gemm_nr = 2 * k_gemm_lanes;  // columns per strip
-
-/// k_gemm_lanes fp32 lanes as a GCC/Clang vector type: the accumulator and
-/// B-row unit of the GEMM strips. A plain `float acc[4][8]` does not stay
-/// in registers — GCC scalarizes it — while an array of these does.
-using f32v = float __attribute__((vector_size(4 * k_gemm_lanes)));
-
-/// Single-rounding fused multiply-add where the ISA has it, separate
-/// mul+add where it does not — fixed at compile time. Every kernel path
-/// (full tiles, tails, packed edges) and the frozen reference kernels in
-/// tests/bench accumulate through this helper, so each output element sees
-/// the identical rounding sequence no matter which instantiation computed
-/// it. Without this, -ffp-contract is free to fuse some paths and not
-/// others, silently breaking bit-identity between tile shapes (and with it
-/// the across-PELTA_THREADS guarantee) on FMA targets.
+/// Single-rounding fused multiply-add in the PELTA_NATIVE build (and on
+/// targets whose baseline has FMA), separate mul+add everywhere else —
+/// fixed for the whole build, not per TU. Every kernel path (full tiles,
+/// tails, packed edges, every tier's vector form in tier_body.h) and the
+/// frozen reference kernels in tests/bench accumulate through this rounding
+/// choice, so each output element sees the identical rounding sequence no
+/// matter which instantiation computed it. Without this, -ffp-contract is
+/// free to fuse some paths and not others, silently breaking bit-identity
+/// between tile shapes (and with it the across-PELTA_THREADS guarantee).
 inline float fmadd(float a, float b, float c) {
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+#if defined(PELTA_FUSED_MADD) || defined(__ARM_FEATURE_FMA)
   return std::fma(a, b, c);
 #else
-  return a * b + c;  // no FMA on this target: contraction cannot diverge
-#endif
-}
-
-/// Lane-wise fmadd with the same compile-time rounding choice as the scalar
-/// form, so a vector lane and a scalar reference element see identical bits.
-inline f32v fmadd(f32v a, f32v b, f32v c) {
-#if defined(__FMA__) && defined(__AVX512F__)
-  return _mm512_fmadd_ps(a, b, c);
-#elif defined(__FMA__) && defined(__AVX__)
-  return _mm256_fmadd_ps(a, b, c);
-#elif defined(__FMA__) && (defined(__x86_64__) || defined(__i386__))
-  return _mm_fmadd_ps(a, b, c);
-#elif defined(__FMA__) || defined(__ARM_FEATURE_FMA)
-  f32v r;
-  for (int i = 0; i < k_gemm_lanes; ++i) r[i] = std::fma(a[i], b[i], c[i]);
-  return r;
-#else
-  return a * b + c;  // no FMA on this target: contraction cannot diverge
+  return a * b + c;  // unfused build: contraction cannot diverge
 #endif
 }
 
@@ -108,14 +75,15 @@ private:
 };
 
 // Blocked GEMM: out[m,n] += a[m,k] * b[k,n]; out must hold the accumulation
-// base (zeros or bias). Per output element the k-order matches the classic
-// i-k-j loop bit for bit. The zero-skip fast path is only sound when B is
-// fully finite: 0 * Inf and 0 * NaN are NaN, and a poisoned update must
-// surface, not vanish through a zero-weight row — the gate is decided ONCE
-// per call, never inside the inner loops: A is pre-scanned for zeros
-// (dense A neither consults nor scans B, as before), and only a zero-
-// bearing A pays the B scan, cached in `b_finite` across calls on the same
-// operand.
+// base (zeros or bias), on active_kernels()'s tier (kernel_tiers.h), or a
+// narrower one when n is below that tier's strip width. Per output element
+// the k-order matches the classic i-k-j loop bit for bit. The zero-skip
+// fast path is only sound when B is fully finite: 0 * Inf and 0 * NaN are
+// NaN, and a poisoned update must surface, not vanish through a zero-weight
+// row — the gate is decided ONCE per call, never inside the inner loops: A
+// is pre-scanned for zeros (dense A neither consults nor scans B, as
+// before), and only a zero-bearing A pays the B scan, cached in `b_finite`
+// across calls on the same operand.
 void gemm_accumulate(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
                      std::int64_t n, finite_cache& b_finite);
 
@@ -143,11 +111,12 @@ void gemm_accumulate_bt(const float* a, const float* bt, float* out, std::int64_
 //   * The kernel computes out[i][j] = sum_k (a_u8 - 128) * q_w as int32 by
 //     accumulating the raw sum_k a_u8 * q_w and pre-loading the output with
 //     the -128 * colsum[j] compensation term (colsum[j] = sum_k q_w[kk][j]).
-//     Integer accumulation is exact and associative, so every path (AVX2,
-//     scalar fallback, any row split across PELTA_THREADS) produces
+//     Integer accumulation is exact and associative, so every path (each
+//     kernel tier, any row split across PELTA_THREADS) produces
 //     bit-identical int32 results by construction.
 
-/// Bytes per k-group: vpmaddubsw consumes 4 consecutive k bytes per lane.
+/// Bytes per k-group: vpmaddubsw / vpdpbusd consume 4 consecutive k bytes
+/// per int32 lane.
 inline constexpr std::int64_t k_qgemm_kg = 4;
 /// Packed panel width (columns per panel).
 inline constexpr std::int64_t k_qgemm_nr = 16;

@@ -7,15 +7,18 @@
 // call was the largest cost left in the ViT forward. These are built only
 // from range reduction plus a fixed polynomial, evaluated as plain
 // multiply-then-add (never detail::fmadd, which becomes an FMA under
-// PELTA_NATIVE) in mathfn.cpp, which src/tensor/CMakeLists.txt compiles with
-// -ffp-contract=off. Every output bit is therefore the same on the portable
-// and the native build, on any host.
+// PELTA_NATIVE) in tier_body.h, which src/tensor/CMakeLists.txt compiles
+// with -ffp-contract=off into every kernel tier (kernel_tiers.h). Every
+// output bit is therefore the same on the portable and the native build, on
+// every tier and on any host.
 //
-// Each function has ONE vector body over detail::f32v. The array maps run it
-// over full vectors and run the ragged tail through the same body on a
-// zero-padded vector; the scalar entry is that same body on a one-element
-// padded vector. A value's bits never depend on its position in an array,
-// the array's length, or which entry point computed it.
+// Each function has ONE lane-generic vector body, run at the active tier's
+// width (4, 8 or 16 lanes). The array maps run it over full vectors and run
+// the ragged tail through the same body on a zero-padded vector; the scalar
+// entry is that same body on a one-element padded vector. Every operation
+// is lane-wise, so a value's bits never depend on its position in an
+// array, the array's length, the vector width, or which entry point
+// computed it.
 //
 // Accuracy (tests/test_mathfn.cpp sweeps every 97th finite float against a
 // double reference):

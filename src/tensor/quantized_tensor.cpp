@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "tensor/check.h"
 #include "tensor/kernels.h"
 #include "tensor/scratch.h"
@@ -43,37 +39,10 @@ std::int32_t clamp_code(std::int32_t q, std::int32_t qmax) {
 
 void quantize_activations(const float* x, std::int64_t count, float scale, std::uint8_t* out) {
   PELTA_CHECK_MSG(scale > 0.0f, "activation scale must be positive, got " << scale);
-  const float inv = 1.0f / scale;
-  std::int64_t i = 0;
-#if defined(__AVX2__)
-  // Clamp in fp32 FIRST, then let vcvtps2dq round to nearest-even in
-  // hardware. round-then-clamp and clamp-then-round agree on every finite
-  // input because rounding is monotone and +-127.0 round to themselves, so
-  // this path is bitwise identical to the scalar tail below.
-  const __m256 vinv = _mm256_set1_ps(inv);
-  const __m256 vlo = _mm256_set1_ps(-static_cast<float>(k_act_qmax));
-  const __m256 vhi = _mm256_set1_ps(static_cast<float>(k_act_qmax));
-  const __m256i vzero_pt = _mm256_set1_epi32(k_act_zero);
-  for (; i + 16 <= count; i += 16) {
-    __m256 r0 = _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv);
-    __m256 r1 = _mm256_mul_ps(_mm256_loadu_ps(x + i + 8), vinv);
-    r0 = _mm256_min_ps(_mm256_max_ps(r0, vlo), vhi);
-    r1 = _mm256_min_ps(_mm256_max_ps(r1, vlo), vhi);
-    const __m256i q0 = _mm256_add_epi32(_mm256_cvtps_epi32(r0), vzero_pt);
-    const __m256i q1 = _mm256_add_epi32(_mm256_cvtps_epi32(r1), vzero_pt);
-    // Narrow 16 int32 codes (all in [1, 255]) to bytes in memory order:
-    // packus interleaves by 128-bit lane, the permute restores q0|q1 order.
-    __m256i p16 = _mm256_packus_epi32(q0, q1);
-    p16 = _mm256_permute4x64_epi64(p16, _MM_SHUFFLE(3, 1, 2, 0));
-    const __m128i p8 = _mm_packus_epi16(_mm256_castsi256_si128(p16),
-                                        _mm256_extracti128_si256(p16, 1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), p8);
-  }
-#endif
-  for (; i < count; ++i) {
-    const std::int32_t q = clamp_code(round_nearest_even(x[i] * inv), k_act_qmax);
-    out[i] = static_cast<std::uint8_t>(q + k_act_zero);
-  }
+  // The tier's vector body clamps in fp32 first and then rounds to nearest
+  // even: the same integer as round-then-clamp on every finite input,
+  // because rounding is monotone and +-127 round to themselves.
+  ops::detail::active_kernels().quantize(x, count, 1.0f / scale, out);
 }
 
 float dequantize_activation(std::uint8_t code, float scale) {

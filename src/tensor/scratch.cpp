@@ -26,11 +26,23 @@ namespace {
 // 128 KiB default: a larger request that the retained heap top cannot serve
 // is mmapped and unmapped every time. Large tensors therefore rely on the
 // retained top, and the setting applies to any program linking the library.
+//
+// The retained top is per glibc arena, and by default every pool thread
+// that allocates gets an arena of its own, so each keeps its own high-water
+// mapped on top of the main heap's. One arena for the process keeps a
+// single high-water: a pooled batch-32 ViT-B/16-sim predict_logits peaked
+// at 20 MB with per-thread arenas and 13 MB with one, and the perfbench
+// serve_offline process at 20.8 MB and 19.5-20.5 MB. The price is the arena
+// lock, shared by the pool threads: 1-3 % of serve_offline and fl_round
+// throughput (4 vCPU x86-64 host).
 constexpr int k_heap_trim_threshold = 256 << 20;
+constexpr int k_heap_arenas = 1;
 
 #if defined(__GLIBC__)
 [[maybe_unused]] const bool k_heap_policy_applied = [] {
-  return mallopt(M_TRIM_THRESHOLD, k_heap_trim_threshold) == 1;
+  const bool trim = mallopt(M_TRIM_THRESHOLD, k_heap_trim_threshold) == 1;
+  const bool arenas = mallopt(M_ARENA_MAX, k_heap_arenas) == 1;
+  return trim && arenas;
 }();
 #endif
 

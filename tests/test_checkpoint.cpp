@@ -174,6 +174,49 @@ TEST(Checkpoint, GarbageFileIsRejected) {
   EXPECT_THROW((void)checkpoint_model_name(path), checkpoint_error);
 }
 
+// A rejected model-state payload leaves the model exactly as it was: every
+// tensor and batch-norm buffer is decoded and checked, and the trailing
+// bytes counted, before the first value is replaced. The source differs
+// from the target in every parameter and BN buffer, so a half-applied load
+// shows in the target's own save_state bytes.
+TEST(Checkpoint, RejectedStateLeavesEveryParameterAndBatchnormByteUnchanged) {
+  models::task_spec task;
+  task.classes = 4;
+  task.seed = 11;
+  auto target = models::make_resnet56_sim(task);
+  task.seed = 12;
+  auto source = models::make_resnet56_sim(task);
+  for (ad::batchnorm_stats* s : source->batchnorm_buffers()) {
+    s->running_mean.fill_(0.25f);
+    s->running_var.fill_(2.0f);
+  }
+  const byte_buffer before = save_state(*target);
+
+  byte_buffer trailing = save_state(*source);
+  trailing.push_back(0);
+  EXPECT_THROW(load_state(*target, trailing), error);
+  EXPECT_EQ(save_state(*target), before) << "trailing byte";
+
+  // Parameters and every BN buffer but the last well-formed; the last
+  // running variance one channel too wide.
+  byte_buffer wrong_bn = source->params().save_values();
+  const auto stats = source->batchnorm_buffers();
+  ASSERT_FALSE(stats.empty());
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    serialize_tensor(stats[i]->running_mean, wrong_bn);
+    if (i + 1 < stats.size())
+      serialize_tensor(stats[i]->running_var, wrong_bn);
+    else
+      serialize_tensor(tensor::ones({stats[i]->running_var.numel() + 1}), wrong_bn);
+  }
+  EXPECT_THROW(load_state(*target, wrong_bn), error);
+  EXPECT_EQ(save_state(*target), before) << "wrong batch-norm shape";
+
+  // The well-formed payload still installs.
+  load_state(*target, save_state(*source));
+  EXPECT_EQ(save_state(*target), save_state(*source));
+}
+
 TEST(Checkpoint, MissingFileThrows) {
   models::task_spec task;
   task.classes = 4;

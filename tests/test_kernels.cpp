@@ -2,11 +2,12 @@
 //
 // The blocked kernels promise bit-identity with the classic i-k-j loop on
 // every path (full register tiles, row tails, column tails, any row split a
-// parallel chunking might produce) — each case here compares against a
-// frozen copy of the pre-blocked reference kernel with memcmp, not a
-// tolerance. The static initializer pins PELTA_THREADS=8 (without
-// overriding an explicit environment setting) so the pooled runs really
-// cross threads even on single-core hosts.
+// parallel chunking might produce) and on every kernel tier the host can
+// run (kernel_tiers.h) — each case here compares against a frozen copy of
+// the pre-blocked reference kernel with memcmp, not a tolerance. The
+// static initializer pins PELTA_THREADS=8 (without overriding an explicit
+// environment setting) so the pooled runs really cross threads even on
+// single-core hosts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,9 @@
 #include <vector>
 
 #include "autodiff/ops_conv.h"
+#include "kernel_tiers.h"
+#include "models/model.h"
+#include "models/zoo.h"
 #include "reference_kernels.h"
 #include "tensor/conv.h"
 #include "tensor/kernels.h"
@@ -39,8 +43,9 @@ using ops::detail::finite_cache;
 using ops::detail::gemm_accumulate;
 using ops::detail::gemm_accumulate_bt;
 using ops::detail::k_gemm_mr;
-using ops::detail::k_gemm_nr;
+using ops::detail::kernel_table;
 using ops::reference::reference_gemm;  // THE frozen pre-PR baseline
+using testing::for_each_tier;
 
 // Operand with zeros sprinkled in (the skip path must see real zeros).
 std::vector<float> random_operand(rng& gen, std::int64_t count, float zero_fraction) {
@@ -58,41 +63,43 @@ bool bits_equal(const std::vector<float>& x, const std::vector<float>& y) {
 TEST(BlockedGemm, BitEqualsReferenceOnEdgeShapes) {
   rng gen{41};
   // Every combination straddling the register strip: empty, single,
-  // strip-1, strip, strip+1 for both MR (rows) and NR (columns), two strips,
-  // rows on both sides of the B-packing threshold (16 or 32 by ISA) and of
-  // the A block (64), columns on both sides of the packed panel (256) and
-  // a full strip past it, depths on both sides of the k-block (256), plus
-  // non-multiples.
-  constexpr auto mr = static_cast<std::int64_t>(k_gemm_mr);
-  constexpr auto nr = static_cast<std::int64_t>(k_gemm_nr);
-  const std::vector<std::int64_t> row_dims{0, 1, 3, 4, 5, 11, 16, 17, 32, 33, 70};
-  const std::vector<std::int64_t> k_dims{0, 1, 2, 7, 19, 257};
-  const std::vector<std::int64_t> col_dims{0,      1,      3,      mr - 1, 4,  5,  15, nr - 1, nr,
-                                           nr + 1, 17,     37,     2 * nr - 1, 2 * nr,
-                                           2 * nr + 1, 64, 65, 263, 256 + nr + 1};
-  for (const bool zero_rows : {false, true})
-    for (std::int64_t m : row_dims)
-      for (std::int64_t k : k_dims)
-        for (std::int64_t n : col_dims) {
-          std::vector<float> a = random_operand(gen, m * k, 0.25f);
-          const std::vector<float> b = random_operand(gen, k * n, 0.1f);
-          std::vector<float> base(static_cast<std::size_t>(m * n));
-          for (float& x : base) x = gen.uniform(-0.5f, 0.5f);  // nonzero accumulation base
-          // Whole zero rows of A over a -0.0 base: every strip then takes the
-          // masked-select Skip path, and only a real skip keeps the sign of
-          // zero (-0 + 0*b would round to +0).
-          if (zero_rows)
-            for (std::int64_t i = 1; i < m; i += 3) {
-              std::fill_n(a.begin() + i * k, k, 0.0f);
-              std::fill_n(base.begin() + i * n, n, -0.0f);
-            }
-          std::vector<float> want = base, got = base;
-          reference_gemm(a.data(), b.data(), want.data(), m, k, n);
-          finite_cache cache;
-          gemm_accumulate(a.data(), b.data(), got.data(), m, k, n, cache);
-          ASSERT_TRUE(bits_equal(want, got))
-              << "m=" << m << " k=" << k << " n=" << n << " zero_rows=" << zero_rows;
-        }
+  // strip-1, strip, strip+1 for both MR (rows) and NR (columns, per tier),
+  // two strips, rows on both sides of the B-packing threshold (16 or 32 by
+  // tier) and of the A block (64), columns on both sides of the packed
+  // panel (256) and a full strip past it, depths on both sides of the
+  // k-block (256), plus non-multiples.
+  for_each_tier([&](const kernel_table& tier) {
+    constexpr auto mr = static_cast<std::int64_t>(k_gemm_mr);
+    const std::int64_t nr = tier.gemm_nr;
+    const std::vector<std::int64_t> row_dims{0, 1, 3, 4, 5, 11, 16, 17, 32, 33, 70};
+    const std::vector<std::int64_t> k_dims{0, 1, 2, 7, 19, 257};
+    const std::vector<std::int64_t> col_dims{0,      1,      3,      mr - 1, 4,  5,  15, nr - 1, nr,
+                                             nr + 1, 17,     37,     2 * nr - 1, 2 * nr,
+                                             2 * nr + 1, 64, 65, 263, 256 + nr + 1};
+    for (const bool zero_rows : {false, true})
+      for (std::int64_t m : row_dims)
+        for (std::int64_t k : k_dims)
+          for (std::int64_t n : col_dims) {
+            std::vector<float> a = random_operand(gen, m * k, 0.25f);
+            const std::vector<float> b = random_operand(gen, k * n, 0.1f);
+            std::vector<float> base(static_cast<std::size_t>(m * n));
+            for (float& x : base) x = gen.uniform(-0.5f, 0.5f);  // nonzero accumulation base
+            // Whole zero rows of A over a -0.0 base: every strip then takes
+            // the masked-select Skip path, and only a real skip keeps the
+            // sign of zero (-0 + 0*b would round to +0).
+            if (zero_rows)
+              for (std::int64_t i = 1; i < m; i += 3) {
+                std::fill_n(a.begin() + i * k, k, 0.0f);
+                std::fill_n(base.begin() + i * n, n, -0.0f);
+              }
+            std::vector<float> want = base, got = base;
+            reference_gemm(a.data(), b.data(), want.data(), m, k, n);
+            finite_cache cache;
+            gemm_accumulate(a.data(), b.data(), got.data(), m, k, n, cache);
+            ASSERT_TRUE(bits_equal(want, got)) << tier.name << " m=" << m << " k=" << k
+                                               << " n=" << n << " zero_rows=" << zero_rows;
+          }
+  });
 }
 
 TEST(BlockedGemm, RowSliceInvariance) {
@@ -120,67 +127,74 @@ TEST(BlockedGemm, RowSliceInvariance) {
 
 TEST(BlockedGemm, TransposedBVariantBitEqualsMaterializedTranspose) {
   rng gen{47};
-  for (std::int64_t m : {1, 3, 4, 5, 10})
-    for (std::int64_t k : {1, 2, 9, 24})
-      for (std::int64_t n : {1, 2, 3, 4, 5, 13, 16}) {
-        const std::vector<float> a = random_operand(gen, m * k, 0.3f);
-        const std::vector<float> bt = random_operand(gen, n * k, 0.1f);  // [n, k]
-        std::vector<float> b(static_cast<std::size_t>(k * n));           // [k, n]
-        for (std::int64_t j = 0; j < n; ++j)
-          for (std::int64_t kk = 0; kk < k; ++kk)
-            b[static_cast<std::size_t>(kk * n + j)] = bt[static_cast<std::size_t>(j * k + kk)];
-        std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f), got = want;
-        reference_gemm(a.data(), b.data(), want.data(), m, k, n);
-        finite_cache cache;
-        gemm_accumulate_bt(a.data(), bt.data(), got.data(), m, k, n, cache);
-        ASSERT_TRUE(bits_equal(want, got)) << "m=" << m << " k=" << k << " n=" << n;
-      }
+  for_each_tier([&](const kernel_table& tier) {
+    // Columns straddle every tier's strip (8, 16 or 32) and a 256-column
+    // panel; depths straddle the 256-deep k-block.
+    for (std::int64_t m : {1, 3, 4, 5, 10, 17, 33})
+      for (std::int64_t k : {1, 2, 9, 24, 257})
+        for (std::int64_t n : {1, 2, 3, 4, 5, 13, 16, 17, 31, 32, 33, 65, 263}) {
+          const std::vector<float> a = random_operand(gen, m * k, 0.3f);
+          const std::vector<float> bt = random_operand(gen, n * k, 0.1f);  // [n, k]
+          std::vector<float> b(static_cast<std::size_t>(k * n));           // [k, n]
+          for (std::int64_t j = 0; j < n; ++j)
+            for (std::int64_t kk = 0; kk < k; ++kk)
+              b[static_cast<std::size_t>(kk * n + j)] = bt[static_cast<std::size_t>(j * k + kk)];
+          std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f), got = want;
+          reference_gemm(a.data(), b.data(), want.data(), m, k, n);
+          finite_cache cache;
+          gemm_accumulate_bt(a.data(), bt.data(), got.data(), m, k, n, cache);
+          ASSERT_TRUE(bits_equal(want, got))
+              << tier.name << " m=" << m << " k=" << k << " n=" << n;
+        }
+  });
 }
 
 // Regression for the poisoned-update gate: a NaN/Inf B operand must surface
 // through a zero A row — the zero-skip fast path is only legal when B is
 // fully finite, and the gate is now decided once per call, not per element.
 TEST(BlockedGemm, PoisonedBPropagatesThroughZeroARow) {
-  const std::int64_t m = 3, k = 4, n = 8;
-  std::vector<float> a(static_cast<std::size_t>(m * k), 0.0f);
-  for (std::int64_t j = 0; j < k; ++j) a[static_cast<std::size_t>(0 * k + j)] = 1.0f;
-  // Row 1 and 2 of A are all zeros. B: one NaN, one Inf.
-  std::vector<float> b(static_cast<std::size_t>(k * n), 0.5f);
-  b[static_cast<std::size_t>(1 * n + 2)] = std::numeric_limits<float>::quiet_NaN();
-  b[static_cast<std::size_t>(2 * n + 5)] = std::numeric_limits<float>::infinity();
+  for_each_tier([](const kernel_table&) {
+    const std::int64_t m = 3, k = 4, n = 8;
+    std::vector<float> a(static_cast<std::size_t>(m * k), 0.0f);
+    for (std::int64_t j = 0; j < k; ++j) a[static_cast<std::size_t>(0 * k + j)] = 1.0f;
+    // Row 1 and 2 of A are all zeros. B: one NaN, one Inf.
+    std::vector<float> b(static_cast<std::size_t>(k * n), 0.5f);
+    b[static_cast<std::size_t>(1 * n + 2)] = std::numeric_limits<float>::quiet_NaN();
+    b[static_cast<std::size_t>(2 * n + 5)] = std::numeric_limits<float>::infinity();
 
-  std::vector<float> out(static_cast<std::size_t>(m * n), 0.0f);
-  finite_cache cache;
-  gemm_accumulate(a.data(), b.data(), out.data(), m, k, n, cache);
-  // The nonzero row sees NaN (NaN term) and Inf (Inf term); the all-zero
-  // rows see NaN in both poisoned columns, because 0 * NaN and 0 * Inf are
-  // NaN — the zero-skip fast path must be disabled for this operand.
-  EXPECT_TRUE(std::isnan(out[2]));
-  EXPECT_TRUE(std::isinf(out[5]));
-  for (std::int64_t i = 1; i < m; ++i) {
-    EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(i * n + 2)])) << "row " << i;
-    EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(i * n + 5)])) << "row " << i;
-  }
+    std::vector<float> out(static_cast<std::size_t>(m * n), 0.0f);
+    finite_cache cache;
+    gemm_accumulate(a.data(), b.data(), out.data(), m, k, n, cache);
+    // The nonzero row sees NaN (NaN term) and Inf (Inf term); the all-zero
+    // rows see NaN in both poisoned columns, because 0 * NaN and 0 * Inf are
+    // NaN — the zero-skip fast path must be disabled for this operand.
+    EXPECT_TRUE(std::isnan(out[2]));
+    EXPECT_TRUE(std::isinf(out[5]));
+    for (std::int64_t i = 1; i < m; ++i) {
+      EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(i * n + 2)])) << "row " << i;
+      EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(i * n + 5)])) << "row " << i;
+    }
 
-  // Transposed-B variant: same contract.
-  std::vector<float> bt(static_cast<std::size_t>(n * k), 0.5f);
-  bt[static_cast<std::size_t>(2 * k + 1)] = std::numeric_limits<float>::quiet_NaN();
-  std::vector<float> out_bt(static_cast<std::size_t>(m * n), 0.0f);
-  finite_cache cache_bt;
-  gemm_accumulate_bt(a.data(), bt.data(), out_bt.data(), m, k, n, cache_bt);
-  for (std::int64_t i = 0; i < m; ++i)
-    EXPECT_TRUE(std::isnan(out_bt[static_cast<std::size_t>(i * n + 2)])) << "row " << i;
+    // Transposed-B variant: same contract.
+    std::vector<float> bt(static_cast<std::size_t>(n * k), 0.5f);
+    bt[static_cast<std::size_t>(2 * k + 1)] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> out_bt(static_cast<std::size_t>(m * n), 0.0f);
+    finite_cache cache_bt;
+    gemm_accumulate_bt(a.data(), bt.data(), out_bt.data(), m, k, n, cache_bt);
+    for (std::int64_t i = 0; i < m; ++i)
+      EXPECT_TRUE(std::isnan(out_bt[static_cast<std::size_t>(i * n + 2)])) << "row " << i;
 
-  // And the complement: with a fully finite B, zero A rows stay exactly at
-  // the accumulation base.
-  std::vector<float> b_fin(static_cast<std::size_t>(k * n), 0.5f);
-  std::vector<float> out_fin(static_cast<std::size_t>(m * n), 0.0f);
-  finite_cache cache_fin;
-  gemm_accumulate(a.data(), b_fin.data(), out_fin.data(), m, k, n, cache_fin);
-  for (std::int64_t j = 0; j < n; ++j) {
-    EXPECT_EQ(out_fin[static_cast<std::size_t>(1 * n + j)], 0.0f);
-    EXPECT_EQ(out_fin[static_cast<std::size_t>(2 * n + j)], 0.0f);
-  }
+    // And the complement: with a fully finite B, zero A rows stay exactly at
+    // the accumulation base.
+    std::vector<float> b_fin(static_cast<std::size_t>(k * n), 0.5f);
+    std::vector<float> out_fin(static_cast<std::size_t>(m * n), 0.0f);
+    finite_cache cache_fin;
+    gemm_accumulate(a.data(), b_fin.data(), out_fin.data(), m, k, n, cache_fin);
+    for (std::int64_t j = 0; j < n; ++j) {
+      EXPECT_EQ(out_fin[static_cast<std::size_t>(1 * n + j)], 0.0f);
+      EXPECT_EQ(out_fin[static_cast<std::size_t>(2 * n + j)], 0.0f);
+    }
+  });
 }
 
 TEST(BlockedGemm, MatmulBitIdenticalAcrossThreadWidths) {
@@ -205,10 +219,11 @@ TEST(BlockedGemm, MatmulBitIdenticalAcrossThreadWidths) {
 
 // token_linear runs its GEMMs on the operands' storage (no reshape copies,
 // transposed-B backward). Forward and every gradient must equal the composed
-// tensor-op path bit for bit, at batch 1 and 32 and at pool widths 1 and 8.
+// tensor-op path bit for bit, at batch 1 and 32, at pool widths 1 and 8 and
+// on every kernel tier — the composed path always runs on sse2.
 TEST(TokenLinear, BitEqualsComposedPath) {
   rng gen{61};
-  const std::int64_t t = 17, p = 48, d = 40;  // d straddles the strip width
+  const std::int64_t t = 17, p = 48, d = 40;  // d straddles every tier's strip width
   const tensor w = tensor::randn(gen, {p, d});
   const tensor bias = tensor::randn(gen, {d});
   for (const std::int64_t b : {1, 32}) {
@@ -217,14 +232,19 @@ TEST(TokenLinear, BitEqualsComposedPath) {
       if (gen.bernoulli(0.1f)) v = 0.0f;  // post-activation zeros: the Skip path
     const tensor g = tensor::randn(gen, {b, t, d});
 
-    // Composed path: flatten tokens, ops::matmul, then the bias.
+    // Composed path on the sse2 tier: flatten tokens, ops::matmul, then
+    // the bias.
     const tensor x2 = x.reshape({b * t, p});
     const tensor g2 = g.reshape({b * t, d});
-    tensor want_y = ops::matmul(x2, w);
+    tensor want_y, want_gx, want_gw;
+    {
+      const ops::detail::tier_override sse2{ops::detail::isa::sse2};
+      want_y = ops::matmul(x2, w);
+      want_gx = ops::matmul(g2, ops::transpose2d(w));
+      want_gw = ops::matmul(ops::transpose2d(x2), g2);
+    }
     for (std::int64_t r = 0; r < b * t; ++r)
       for (std::int64_t c = 0; c < d; ++c) want_y.at(r, c) += bias[c];
-    const tensor want_gx = ops::matmul(g2, ops::transpose2d(w));
-    const tensor want_gw = ops::matmul(ops::transpose2d(x2), g2);
     tensor want_gb{shape_t{d}};
     for (std::int64_t r = 0; r < b * t; ++r)
       for (std::int64_t c = 0; c < d; ++c) want_gb[c] += g2.at(r, c);
@@ -234,25 +254,66 @@ TEST(TokenLinear, BitEqualsComposedPath) {
              std::memcmp(x.data().data(), y.data().data(),
                          static_cast<std::size_t>(x.numel()) * sizeof(float)) == 0;
     };
-    const auto check = [&](const std::string& width) {
-      const ad::op_ptr op = ad::make_token_linear(/*with_bias=*/true);
-      const std::vector<const tensor*> in{&x, &w, &bias};
-      const tensor y = op->forward(in);
-      ASSERT_EQ(y.shape(), (shape_t{b, t, d}));
-      EXPECT_TRUE(bits_equal_tensor(want_y, y)) << "forward b=" << b << " " << width;
-      const std::vector<tensor> grads = op->backward(g, in, y);
-      ASSERT_EQ(grads.size(), 3u);
-      EXPECT_EQ(grads[0].shape(), x.shape());
-      EXPECT_TRUE(bits_equal_tensor(want_gx, grads[0])) << "dX b=" << b << " " << width;
-      EXPECT_TRUE(bits_equal_tensor(want_gw, grads[1])) << "dW b=" << b << " " << width;
-      EXPECT_TRUE(bits_equal_tensor(want_gb, grads[2])) << "db b=" << b << " " << width;
-    };
-    {
-      serial_guard guard;
-      check("PELTA_THREADS=1");
-    }
-    check("PELTA_THREADS=" + std::to_string(parallel_thread_count()));
+    for_each_tier([&](const kernel_table& tier) {
+      const auto check = [&](const std::string& width) {
+        const ad::op_ptr op = ad::make_token_linear(/*with_bias=*/true);
+        const std::vector<const tensor*> in{&x, &w, &bias};
+        const tensor y = op->forward(in);
+        ASSERT_EQ(y.shape(), (shape_t{b, t, d}));
+        EXPECT_TRUE(bits_equal_tensor(want_y, y))
+            << "forward b=" << b << " " << width << " " << tier.name;
+        const std::vector<tensor> grads = op->backward(g, in, y);
+        ASSERT_EQ(grads.size(), 3u);
+        EXPECT_EQ(grads[0].shape(), x.shape());
+        EXPECT_TRUE(bits_equal_tensor(want_gx, grads[0]))
+            << "dX b=" << b << " " << width << " " << tier.name;
+        EXPECT_TRUE(bits_equal_tensor(want_gw, grads[1]))
+            << "dW b=" << b << " " << width << " " << tier.name;
+        EXPECT_TRUE(bits_equal_tensor(want_gb, grads[2]))
+            << "db b=" << b << " " << width << " " << tier.name;
+      };
+      {
+        serial_guard guard;
+        check("PELTA_THREADS=1");
+      }
+      check("PELTA_THREADS=" + std::to_string(parallel_thread_count()));
+    });
   }
+}
+
+// A whole ViT-B/16-sim batch-32 forward — patch embedding, attention
+// bmm/softmax, GELU MLPs, classifier — gives the sse2 tier's logits bit for
+// bit on every tier.
+TEST(KernelTiers, VitB16Batch32LogitsEqualAtEveryTier) {
+  models::task_spec task;
+  task.image_size = 16;
+  task.channels = 3;
+  task.classes = 10;
+  task.seed = 5;
+  const auto model = models::make_vit_b16_sim(task);
+  rng gen{19};
+  const tensor images = tensor::randn(gen, {32, 3, 16, 16});
+  tensor sse2_logits;
+  for_each_tier([&](const kernel_table& tier) {
+    const tensor logits = models::predict_logits(*model, images);
+    ASSERT_EQ(logits.shape(), (shape_t{32, 10}));
+    if (tier.tier == ops::detail::isa::sse2) sse2_logits = logits;
+    EXPECT_EQ(0, std::memcmp(sse2_logits.data().data(), logits.data().data(),
+                             static_cast<std::size_t>(logits.numel()) * sizeof(float)))
+        << tier.name;
+  });
+}
+
+// The dispatcher refuses a tier above the host's, and names each tier it
+// can run.
+TEST(KernelTiers, LookupIsCappedAtTheHostTier) {
+  const int host = static_cast<int>(ops::detail::host_isa());
+  const char* names[] = {"sse2", "avx2", "avx512"};
+  for (int i = 0; i <= host; ++i)
+    EXPECT_STREQ(ops::detail::kernels_for(static_cast<ops::detail::isa>(i)).name, names[i]);
+  for (int i = host + 1; i <= static_cast<int>(ops::detail::isa::avx512); ++i)
+    EXPECT_THROW(ops::detail::kernels_for(static_cast<ops::detail::isa>(i)), error);
+  EXPECT_EQ(ops::detail::active_kernels().tier, ops::detail::host_isa());
 }
 
 // Satellite: elementwise zip/unary now dispatch through the pool above a

@@ -18,9 +18,9 @@
 
 #include "autodiff/graph.h"
 #include "autodiff/ops_elementwise.h"
+#include "kernel_tiers.h"
 #include "models/model.h"
 #include "models/zoo.h"
-#include "tensor/kernels.h"
 #include "tensor/mathfn.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
@@ -200,32 +200,48 @@ TEST(Mathfn, PinnedHexTable) {
       {5.0f, 0x431469c5u, 0x3f7ffa0du},    {8.0f, 0x453a4f54u, 0x3f7ffffcu},
       {20.0f, 0x4de75844u, 0x3f800000u},   {88.5f, 0x7f4cdcc4u, 0x3f800000u},
   };
-  for (const row& r : table) {
-    EXPECT_EQ(bits_of(fn::exp(r.x)), r.exp_bits) << "exp(" << r.x << ")";
-    EXPECT_EQ(bits_of(fn::tanh(r.x)), r.tanh_bits) << "tanh(" << r.x << ")";
-  }
+  // Scalar entry and one array map over the whole table (full vectors at
+  // every tier's width), on every tier.
+  std::vector<float> xs;
+  for (const row& r : table) xs.push_back(r.x);
+  const auto n = static_cast<std::int64_t>(xs.size());
+  testing::for_each_tier([&](const ops::detail::kernel_table& tier) {
+    std::vector<float> e(xs.size()), t(xs.size());
+    fn::exp(xs.data(), e.data(), n);
+    fn::tanh(xs.data(), t.data(), n);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const row& r = table[i];
+      EXPECT_EQ(bits_of(fn::exp(r.x)), r.exp_bits) << tier.name << " exp(" << r.x << ")";
+      EXPECT_EQ(bits_of(fn::tanh(r.x)), r.tanh_bits) << tier.name << " tanh(" << r.x << ")";
+      EXPECT_EQ(bits_of(e[i]), r.exp_bits) << tier.name << " exp array (" << r.x << ")";
+      EXPECT_EQ(bits_of(t[i]), r.tanh_bits) << tier.name << " tanh array (" << r.x << ")";
+    }
+  });
 }
 
 // One vector body: every length (full vectors, every tail width), the
-// in-place form and the scalar entry give the same bits per element.
+// in-place form and the scalar entry give the same bits per element, on
+// every tier.
 TEST(Mathfn, ScalarArrayTailAndInPlaceAgree) {
   rng gen{11};
-  const auto lanes = static_cast<std::int64_t>(ops::detail::k_gemm_lanes);
-  for (std::int64_t n = 0; n <= 3 * lanes + 1; ++n) {
-    std::vector<float> x(static_cast<std::size_t>(n));
-    for (float& v : x) v = gen.uniform(-30.0f, 30.0f);
-    std::vector<float> e(x.size()), t(x.size()), e_in = x, t_in = x;
-    fn::exp(x.data(), e.data(), n);
-    fn::tanh(x.data(), t.data(), n);
-    fn::exp(e_in.data(), e_in.data(), n);
-    fn::tanh(t_in.data(), t_in.data(), n);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      EXPECT_EQ(bits_of(e[i]), bits_of(fn::exp(x[i]))) << "n=" << n << " i=" << i;
-      EXPECT_EQ(bits_of(t[i]), bits_of(fn::tanh(x[i]))) << "n=" << n << " i=" << i;
-      EXPECT_EQ(bits_of(e_in[i]), bits_of(e[i]));
-      EXPECT_EQ(bits_of(t_in[i]), bits_of(t[i]));
+  testing::for_each_tier([&](const ops::detail::kernel_table& tier) {
+    const std::int64_t lanes = tier.gemm_nr / 2;
+    for (std::int64_t n = 0; n <= 3 * lanes + 1; ++n) {
+      std::vector<float> x(static_cast<std::size_t>(n));
+      for (float& v : x) v = gen.uniform(-30.0f, 30.0f);
+      std::vector<float> e(x.size()), t(x.size()), e_in = x, t_in = x;
+      fn::exp(x.data(), e.data(), n);
+      fn::tanh(x.data(), t.data(), n);
+      fn::exp(e_in.data(), e_in.data(), n);
+      fn::tanh(t_in.data(), t_in.data(), n);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(bits_of(e[i]), bits_of(fn::exp(x[i]))) << tier.name << " n=" << n << " i=" << i;
+        EXPECT_EQ(bits_of(t[i]), bits_of(fn::tanh(x[i]))) << tier.name << " n=" << n << " i=" << i;
+        EXPECT_EQ(bits_of(e_in[i]), bits_of(e[i]));
+        EXPECT_EQ(bits_of(t_in[i]), bits_of(t[i]));
+      }
     }
-  }
+  });
 }
 
 TEST(Mathfn, TensorOpsMatchTheScalarEntry) {

@@ -72,6 +72,30 @@ TEST(ParamStore, LoadValuesAtReturnsTrailingOffset) {
   EXPECT_EQ(b.get("w").value[3], 1.0f);
 }
 
+// All-or-nothing load: a payload rejected for trailing bytes or for a
+// later tensor's shape replaces no value, not even the ones before it.
+TEST(ParamStore, RejectedLoadLeavesEveryValueUnchanged) {
+  param_store a;
+  a.create("w", tensor::ones({4}));
+  a.create("b", tensor::ones({2}));
+  param_store b;
+  b.create("w", tensor::zeros({4}));
+  b.create("b", tensor::zeros({2}));
+
+  byte_buffer trailing = a.save_values();
+  trailing.push_back(0);
+  EXPECT_THROW(b.load_values(trailing), error);
+
+  byte_buffer wrong_shape;
+  serialize_tensor(a.get("w").value, wrong_shape);
+  serialize_tensor(tensor::ones({3}), wrong_shape);
+  EXPECT_THROW(b.load_values(wrong_shape), error);
+  EXPECT_THROW(b.load_values_at(wrong_shape, 0), error);
+
+  for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(b.get("w").value[i], 0.0f);
+  for (std::int64_t i = 0; i < 2; ++i) EXPECT_EQ(b.get("b").value[i], 0.0f);
+}
+
 TEST(ParamStore, AxpyAndCopyMergePrimitives) {
   param_store a;
   a.create("w", tensor::full({3}, 1.0f));

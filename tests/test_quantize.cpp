@@ -12,6 +12,7 @@
 // explicit environment setting) so pooled runs really cross threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 
 #include "autodiff/ops_conv.h"
 #include "autodiff/ops_elementwise.h"
+#include "kernel_tiers.h"
 #include "autodiff/ops_loss.h"
 #include "autodiff/ops_norm.h"
 #include "models/compiler.h"
@@ -45,7 +47,9 @@ const bool k_threads_pinned = [] {
   return true;
 }();
 
+using ops::detail::kernel_table;
 using ops::reference::reference_qgemm;  // THE frozen unpacked int8 baseline
+using testing::for_each_tier;
 
 // ---- rounding and round-trip ------------------------------------------------
 
@@ -84,6 +88,36 @@ TEST(Quantize, ActivationRoundTripErrorBound) {
   const float zero = 0.0f;
   quant::quantize_activations(&zero, 1, scale, &zero_code);
   EXPECT_EQ(static_cast<std::int32_t>(zero_code), quant::k_act_zero);
+}
+
+// The activation quantizer's vector body (clamp in fp32, then round to
+// nearest even) gives the scalar rule's codes — rne, then clamp to ±127,
+// then +128 — on every tier, for every length (full vectors and each tail
+// width), out-of-range values, ties and signed zeros.
+TEST(Quantize, ActivationCodesMatchTheScalarRuleAtEveryTier) {
+  rng gen{13};
+  const float scale = 0.05f;
+  const float inv = 1.0f / scale;
+  std::vector<float> x(67);
+  for (float& v : x) v = gen.uniform(-9.0f, 9.0f);  // |x / scale| up to 180: clamps
+  x[0] = 0.0f;
+  x[1] = -0.0f;
+  x[2] = 2.5f * scale;    // ties, both signs
+  x[3] = -3.5f * scale;
+  x[4] = 127.5f * scale;  // just past the clamp
+  x[5] = -1e4f;           // far past it
+  for_each_tier([&](const kernel_table& tier) {
+    for (std::size_t n = 0; n <= x.size(); ++n) {
+      std::vector<std::uint8_t> got(n, 0);
+      quant::quantize_activations(x.data(), static_cast<std::int64_t>(n), scale, got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::int32_t q = std::clamp(quant::round_nearest_even(x[i] * inv),
+                                          -quant::k_act_qmax, quant::k_act_qmax);
+        ASSERT_EQ(static_cast<std::int32_t>(got[i]), q + quant::k_act_zero)
+            << tier.name << " n=" << n << " x=" << x[i];
+      }
+    }
+  });
 }
 
 TEST(Quantize, DegenerateRangesFallBackToScaleOne) {
@@ -126,69 +160,73 @@ TEST(Quantize, WeightScaleSelectionIsDeterministic) {
 // ---- packed int8 GEMM vs the frozen reference -------------------------------
 
 TEST(Qgemm, MatchesReferenceBitwiseAcrossTileGrid) {
-  // Sizes straddle every tile boundary: register tiles (4x16), k-groups of
-  // 4, the KCQ k-block (256 groups = 1024 rows is too slow for a grid, so
-  // 65 covers multi-group + remainders; the k-block edge gets its own case).
-  const std::int64_t sizes[] = {1, 3, 4, 5, 15, 16, 17, 33, 64, 65};
-  rng gen{31};
-  for (const std::int64_t m : sizes) {
-    for (const std::int64_t k : sizes) {
+  for_each_tier([&](const kernel_table& tier) {
+    // Sizes straddle every tile boundary: register tiles (4x16), k-groups of
+    // 4, the KCQ k-block (256 groups = 1024 rows is too slow for a grid, so
+    // 65 covers multi-group + remainders; the k-block edge gets its own case).
+    const std::int64_t sizes[] = {1, 3, 4, 5, 15, 16, 17, 33, 64, 65};
+    rng gen{31};
+    for (const std::int64_t m : sizes) {
+      for (const std::int64_t k : sizes) {
+        const std::int64_t lda = ops::detail::qgemm_row_stride(k);
+        std::vector<std::uint8_t> a(static_cast<std::size_t>(m * lda), 0);
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t kk = 0; kk < k; ++kk)
+            a[static_cast<std::size_t>(i * lda + kk)] =
+                static_cast<std::uint8_t>(1 + (gen.next_u64() % 255));
+        for (const std::int64_t n : sizes) {
+          std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+          for (std::int8_t& v : b)
+            v = static_cast<std::int8_t>(static_cast<std::int64_t>(gen.next_u64() % 127) - 63);
+          std::vector<std::int8_t> packed(
+              static_cast<std::size_t>(ops::detail::qgemm_packed_size(k, n)), 0);
+          ops::detail::qgemm_pack_b(b.data(), k, n, packed.data());
+          std::vector<std::int32_t> colsums(static_cast<std::size_t>(n), 0);
+          for (std::int64_t j = 0; j < n; ++j)
+            for (std::int64_t kk = 0; kk < k; ++kk)
+              colsums[static_cast<std::size_t>(j)] += b[static_cast<std::size_t>(kk * n + j)];
+          std::vector<std::int32_t> got(static_cast<std::size_t>(m * n), -1);
+          std::vector<std::int32_t> want(static_cast<std::size_t>(m * n), -2);
+          ops::detail::qgemm(a.data(), lda, packed.data(), colsums.data(), got.data(), m, k, n);
+          reference_qgemm(a.data(), lda, b.data(), want.data(), m, k, n);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(std::int32_t)), 0)
+              << tier.name << " m=" << m << " k=" << k << " n=" << n;
+        }
+      }
+    }
+  });
+}
+
+TEST(Qgemm, MatchesReferenceAcrossKBlockBoundary) {
+  for_each_tier([&](const kernel_table& tier) {
+    // KCQ = 256 k-groups = 1024 depth rows per block: straddle it.
+    rng gen{37};
+    const std::int64_t m = 5, n = 17;
+    for (const std::int64_t k : {1023LL, 1024LL, 1025LL}) {
       const std::int64_t lda = ops::detail::qgemm_row_stride(k);
       std::vector<std::uint8_t> a(static_cast<std::size_t>(m * lda), 0);
       for (std::int64_t i = 0; i < m; ++i)
         for (std::int64_t kk = 0; kk < k; ++kk)
           a[static_cast<std::size_t>(i * lda + kk)] =
               static_cast<std::uint8_t>(1 + (gen.next_u64() % 255));
-      for (const std::int64_t n : sizes) {
-        std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-        for (std::int8_t& v : b)
-          v = static_cast<std::int8_t>(static_cast<std::int64_t>(gen.next_u64() % 127) - 63);
-        std::vector<std::int8_t> packed(
-            static_cast<std::size_t>(ops::detail::qgemm_packed_size(k, n)), 0);
-        ops::detail::qgemm_pack_b(b.data(), k, n, packed.data());
-        std::vector<std::int32_t> colsums(static_cast<std::size_t>(n), 0);
-        for (std::int64_t j = 0; j < n; ++j)
-          for (std::int64_t kk = 0; kk < k; ++kk)
-            colsums[static_cast<std::size_t>(j)] += b[static_cast<std::size_t>(kk * n + j)];
-        std::vector<std::int32_t> got(static_cast<std::size_t>(m * n), -1);
-        std::vector<std::int32_t> want(static_cast<std::size_t>(m * n), -2);
-        ops::detail::qgemm(a.data(), lda, packed.data(), colsums.data(), got.data(), m, k, n);
-        reference_qgemm(a.data(), lda, b.data(), want.data(), m, k, n);
-        ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(std::int32_t)), 0)
-            << "m=" << m << " k=" << k << " n=" << n;
-      }
+      std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+      for (std::int8_t& v : b)
+        v = static_cast<std::int8_t>(static_cast<std::int64_t>(gen.next_u64() % 127) - 63);
+      std::vector<std::int8_t> packed(
+          static_cast<std::size_t>(ops::detail::qgemm_packed_size(k, n)), 0);
+      ops::detail::qgemm_pack_b(b.data(), k, n, packed.data());
+      std::vector<std::int32_t> colsums(static_cast<std::size_t>(n), 0);
+      for (std::int64_t j = 0; j < n; ++j)
+        for (std::int64_t kk = 0; kk < k; ++kk)
+          colsums[static_cast<std::size_t>(j)] += b[static_cast<std::size_t>(kk * n + j)];
+      std::vector<std::int32_t> got(static_cast<std::size_t>(m * n), -1);
+      std::vector<std::int32_t> want(static_cast<std::size_t>(m * n), -2);
+      ops::detail::qgemm(a.data(), lda, packed.data(), colsums.data(), got.data(), m, k, n);
+      reference_qgemm(a.data(), lda, b.data(), want.data(), m, k, n);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(std::int32_t)), 0)
+          << tier.name << " k=" << k;
     }
-  }
-}
-
-TEST(Qgemm, MatchesReferenceAcrossKBlockBoundary) {
-  // KCQ = 256 k-groups = 1024 depth rows per block: straddle it.
-  rng gen{37};
-  const std::int64_t m = 5, n = 17;
-  for (const std::int64_t k : {1023LL, 1024LL, 1025LL}) {
-    const std::int64_t lda = ops::detail::qgemm_row_stride(k);
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * lda), 0);
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t kk = 0; kk < k; ++kk)
-        a[static_cast<std::size_t>(i * lda + kk)] =
-            static_cast<std::uint8_t>(1 + (gen.next_u64() % 255));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-    for (std::int8_t& v : b)
-      v = static_cast<std::int8_t>(static_cast<std::int64_t>(gen.next_u64() % 127) - 63);
-    std::vector<std::int8_t> packed(static_cast<std::size_t>(ops::detail::qgemm_packed_size(k, n)),
-                                    0);
-    ops::detail::qgemm_pack_b(b.data(), k, n, packed.data());
-    std::vector<std::int32_t> colsums(static_cast<std::size_t>(n), 0);
-    for (std::int64_t j = 0; j < n; ++j)
-      for (std::int64_t kk = 0; kk < k; ++kk)
-        colsums[static_cast<std::size_t>(j)] += b[static_cast<std::size_t>(kk * n + j)];
-    std::vector<std::int32_t> got(static_cast<std::size_t>(m * n), -1);
-    std::vector<std::int32_t> want(static_cast<std::size_t>(m * n), -2);
-    ops::detail::qgemm(a.data(), lda, packed.data(), colsums.data(), got.data(), m, k, n);
-    reference_qgemm(a.data(), lda, b.data(), want.data(), m, k, n);
-    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(std::int32_t)), 0)
-        << "k=" << k;
-  }
+  });
 }
 
 TEST(Qgemm, ZeroDepthYieldsZeros) {

@@ -332,13 +332,18 @@ lhs_info read_lhs(const std::string& s, std::size_t op) {
 // Rule scoping.
 // ---------------------------------------------------------------------------
 
+// The kernel tiers' lane-generic bodies and per-tier TUs are kernel code
+// like kernels.cpp itself.
+bool is_kernel_tier(const std::string& p) {
+  return p == "src/tensor/tier_body.h" || starts_with(p, "src/tensor/tier_");
+}
 bool r1_applies(const std::string& p) {
   return p == "src/tensor/kernels.cpp" || p == "src/tensor/conv.cpp" ||
          p == "src/tensor/quantized_tensor.cpp" || p == "src/fl/aggregation.cpp" ||
-         p == "src/fl/aggregation.h";
+         p == "src/fl/aggregation.h" || is_kernel_tier(p);
 }
 bool r2_applies(const std::string& p) {
-  return p == "src/tensor/kernels.cpp" || p == "src/tensor/conv.cpp";
+  return p == "src/tensor/kernels.cpp" || p == "src/tensor/conv.cpp" || is_kernel_tier(p);
 }
 bool r3_applies(const std::string& p) {
   return starts_with(p, "src/") && p != "src/tensor/rng.h";
