@@ -15,7 +15,10 @@
 // the serial inner-kernel baseline the thread-pool scaling bench multiplies.
 // Report-only rows: ns per element of fn::tanh / fn::exp (tensor/mathfn.h)
 // against libm's std::tanh / std::exp over one batch-32 ViT-B/16-sim GELU's
-// worth of elements.
+// worth of elements; the zero-skip path on a ReLU-sparse A (about half
+// zeros, finite B) for the resnet conv-as-GEMM shapes; and the zero-skip
+// gate's cost on the ViT token_linear shapes (gemm_accumulate against the
+// tier kernel it dispatches to, called directly).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -121,6 +124,14 @@ struct mresult {
   double fn_ns = 0, libm_ns = 0, speedup = 0;
 };
 
+// ReLU-sparse A: the zero fraction of a post-activation operand.
+constexpr float k_relu_zero_fraction = 0.5f;
+
+struct gate_result {
+  shape s;
+  double gated_us = 0, kernel_us = 0, overhead = 0;
+};
+
 // Elements in one batch-32 ViT-B/16-sim GELU: 32 images x 17 tokens x 64
 // hidden units x 3 blocks.
 constexpr std::int64_t k_gelu_elements = 32 * 17 * 64 * 3;
@@ -217,6 +228,101 @@ int main() {
                 s.name, static_cast<long long>(s.m), static_cast<long long>(s.k),
                 static_cast<long long>(s.n), r.ref_gflops, r.blocked_gflops, r.speedup,
                 r.bt_ref_gflops, r.bt_gflops, r.bt_speedup);
+  }
+
+  // ---- zero-skip path on a ReLU-sparse A (report-only) -----------------------
+  // The same timing pairs as above on the resnet conv-as-GEMM shapes, with
+  // about half of A zero: the rows a post-ReLU activation or gradient feeds
+  // the GEMM. B stays finite, so the gate opens and the skipping body runs;
+  // the reference skips the same terms one by one.
+  std::printf("\nReLU-sparse A (%.0f%% zeros, finite B), zero-skip path:\n",
+              100.0 * k_relu_zero_fraction);
+  std::vector<result> sparse_results;
+  rng sgen{2029};
+  for (const shape& s : k_shapes) {
+    if (std::strncmp(s.name, "resnet.", 7) != 0) continue;
+    const std::vector<float> a = random_vec(sgen, s.m * s.k, k_relu_zero_fraction);
+    const std::vector<float> b = random_vec(sgen, s.k * s.n, 0.0f);
+    const std::vector<float> bt = random_vec(sgen, s.n * s.k, 0.0f);
+    std::vector<float> out_ref(static_cast<std::size_t>(s.m * s.n), 0.0f);
+    std::vector<float> out_new = out_ref, out_bt_ref = out_ref, out_bt_new = out_ref;
+    std::vector<float> bt_scratch;
+    reference_gemm(a.data(), b.data(), out_ref.data(), s.m, s.k, s.n);
+    reference_gemm_bt(a.data(), bt.data(), out_bt_ref.data(), s.m, s.k, s.n, bt_scratch);
+    {
+      finite_cache cache, cache_bt;
+      gemm_accumulate(a.data(), b.data(), out_new.data(), s.m, s.k, s.n, cache);
+      gemm_accumulate_bt(a.data(), bt.data(), out_bt_new.data(), s.m, s.k, s.n, cache_bt);
+    }
+    const std::size_t bytes = out_ref.size() * sizeof(float);
+    if (std::memcmp(out_ref.data(), out_new.data(), bytes) != 0 ||
+        std::memcmp(out_bt_ref.data(), out_bt_new.data(), bytes) != 0) {
+      std::printf("!! %s (sparse A): blocked kernel output differs from reference bitwise\n",
+                  s.name);
+      bits_ok = false;
+    }
+    const std::int64_t reps =
+        std::max<std::int64_t>(2, (1 << 25) / std::max<std::int64_t>(s.flops(), 1));
+    const double gf = static_cast<double>(s.flops()) * 1e-9;
+    const auto [ref_s, new_s] = time_ab(
+        7, reps, [&] { reference_gemm(a.data(), b.data(), out_ref.data(), s.m, s.k, s.n); },
+        [&] {
+          finite_cache cache;
+          gemm_accumulate(a.data(), b.data(), out_new.data(), s.m, s.k, s.n, cache);
+        });
+    const auto [bt_ref_s, bt_new_s] = time_ab(
+        7, reps,
+        [&] { reference_gemm_bt(a.data(), bt.data(), out_bt_ref.data(), s.m, s.k, s.n, bt_scratch); },
+        [&] {
+          finite_cache cache;
+          gemm_accumulate_bt(a.data(), bt.data(), out_bt_new.data(), s.m, s.k, s.n, cache);
+        });
+    result r;
+    r.s = s;
+    r.ref_gflops = gf / ref_s;
+    r.blocked_gflops = gf / new_s;
+    r.bt_ref_gflops = gf / bt_ref_s;
+    r.bt_gflops = gf / bt_new_s;
+    r.speedup = r.blocked_gflops / r.ref_gflops;
+    r.bt_speedup = r.bt_gflops / r.bt_ref_gflops;
+    sparse_results.push_back(r);
+    std::printf("%-32s m=%-4lld k=%-5lld n=%-5lld  ref %6.2f -> blocked %7.2f GF/s (%5.2fx)   "
+                "bt %6.2f -> %7.2f GF/s (%5.2fx)\n",
+                s.name, static_cast<long long>(s.m), static_cast<long long>(s.k),
+                static_cast<long long>(s.n), r.ref_gflops, r.blocked_gflops, r.speedup,
+                r.bt_ref_gflops, r.bt_gflops, r.bt_speedup);
+  }
+
+  // ---- zero-skip gate overhead (report-only) ---------------------------------
+  // gemm_accumulate on a dense A pays the A pre-scan, the scratch-panel
+  // checkout and the dispatch before the tier kernel runs; the tier kernel
+  // called directly (skip off, a preallocated panel) pays none of them. A
+  // shape narrower than the tier's strip would make gemm_accumulate drop to
+  // a narrower tier, so it is left out (n = 32 fits every tier).
+  std::printf("\nzero-skip gate overhead, dense A (gemm_accumulate vs the tier kernel alone):\n");
+  std::vector<gate_result> gate_results;
+  for (const shape& s : k_shapes) {
+    if (std::strncmp(s.name, "vit.token_linear", 16) != 0 || s.n < tier.gemm_nr) continue;
+    const std::vector<float> a = random_vec(sgen, s.m * s.k, 0.0f);
+    const std::vector<float> b = random_vec(sgen, s.k * s.n, 0.0f);
+    std::vector<float> out(static_cast<std::size_t>(s.m * s.n), 0.0f);
+    std::vector<float> panel(
+        static_cast<std::size_t>(pelta::ops::detail::k_gemm_kc * pelta::ops::detail::k_gemm_nc));
+    const std::int64_t reps =
+        std::max<std::int64_t>(2, (1 << 25) / std::max<std::int64_t>(s.flops(), 1));
+    const auto [gated_s, kernel_s] = time_ab(
+        9, reps,
+        [&] {
+          finite_cache cache;
+          gemm_accumulate(a.data(), b.data(), out.data(), s.m, s.k, s.n, cache);
+        },
+        [&] { tier.gemm(a.data(), b.data(), out.data(), s.m, s.k, s.n, false, panel.data()); });
+    gate_result r{s, gated_s * 1e6, kernel_s * 1e6, gated_s / kernel_s - 1.0};
+    gate_results.push_back(r);
+    std::printf("%-32s m=%-4lld k=%-5lld n=%-5lld  gemm_accumulate %8.2f us   %s kernel %8.2f us"
+                "   gate overhead %+6.1f%%\n",
+                s.name, static_cast<long long>(s.m), static_cast<long long>(s.k),
+                static_cast<long long>(s.n), r.gated_us, tier.name, r.kernel_us, 100.0 * r.overhead);
   }
 
   // ---- int8 quantized path vs the blocked fp32 kernel -----------------------
@@ -378,6 +484,32 @@ int main() {
                     .field("bt_gflops", r.bt_gflops)
                     .field("bt_speedup", r.bt_speedup));
     }
+    pelta::bench::json gemm_sparse = pelta::bench::json::array();
+    for (const result& r : sparse_results) {
+      gemm_sparse.push(pelta::bench::json::object()
+                           .field("name", r.s.name)
+                           .field("m", r.s.m)
+                           .field("k", r.s.k)
+                           .field("n", r.s.n)
+                           .field("zero_fraction", static_cast<double>(k_relu_zero_fraction))
+                           .field("ref_gflops", r.ref_gflops)
+                           .field("blocked_gflops", r.blocked_gflops)
+                           .field("speedup", r.speedup)
+                           .field("bt_ref_gflops", r.bt_ref_gflops)
+                           .field("bt_gflops", r.bt_gflops)
+                           .field("bt_speedup", r.bt_speedup));
+    }
+    pelta::bench::json gate = pelta::bench::json::array();
+    for (const gate_result& r : gate_results) {
+      gate.push(pelta::bench::json::object()
+                    .field("name", r.s.name)
+                    .field("m", r.s.m)
+                    .field("k", r.s.k)
+                    .field("n", r.s.n)
+                    .field("gemm_accumulate_us", r.gated_us)
+                    .field("tier_kernel_us", r.kernel_us)
+                    .field("gate_overhead", r.overhead));
+    }
     pelta::bench::json int8 = pelta::bench::json::array();
     for (const qresult& r : qresults) {
       int8.push(pelta::bench::json::object()
@@ -404,6 +536,8 @@ int main() {
         .field("threads", 1)
         .field("isa_tier", tier.name)
         .field("gemm", gemm)
+        .field("gemm_sparse", gemm_sparse)
+        .field("gate_overhead", gate)
         .field("int8", int8)
         .field("mathfn", mathfn)
         .field("conv_arena_steady_state_allocations", steady_allocs)

@@ -138,7 +138,12 @@ public:
     auto px = in[0]->data();
     auto pg = g.data();
     auto po = gx.data();
-    for (std::size_t i = 0; i < po.size(); ++i) po[i] = px[i] > 0.0f ? pg[i] : 0.0f;
+    // pg[i] is loaded unconditionally, so the ternary is a select, not a
+    // branch, and the loop vectorises.
+    for (std::size_t i = 0; i < po.size(); ++i) {
+      const float gi = pg[i];
+      po[i] = px[i] > 0.0f ? gi : 0.0f;
+    }
     return {std::move(gx)};
   }
 };

@@ -23,31 +23,42 @@ std::int64_t div_ceil(std::int64_t a, std::int64_t b) {
   return a > 0 ? (a + b - 1) / b : -(-a / b);
 }
 
+// The output positions whose tap (ky, kx) lands inside the [h, w] image:
+// iy = y*stride - pad + ky lies in [0, h) exactly for y in [y_lo, y_hi), and
+// likewise ix for x in [x_lo, x_hi). Empty ranges collapse to lo == hi.
+struct tap_window {
+  std::int64_t y_lo, y_hi, x_lo, x_hi;
+};
+
+tap_window in_bounds_window(std::int64_t h, std::int64_t w, std::int64_t ky, std::int64_t kx,
+                            std::int64_t stride, std::int64_t pad, std::int64_t oh,
+                            std::int64_t ow) {
+  tap_window t;
+  t.y_lo = std::clamp<std::int64_t>(div_ceil(pad - ky, stride), 0, oh);
+  t.y_hi = std::clamp<std::int64_t>(div_floor(h - 1 + pad - ky, stride) + 1, t.y_lo, oh);
+  t.x_lo = std::clamp<std::int64_t>(div_ceil(pad - kx, stride), 0, ow);
+  t.x_hi = std::clamp<std::int64_t>(div_floor(w - 1 + pad - kx, stride) + 1, t.x_lo, ow);
+  return t;
+}
+
 // im2col: expand one image [C,H,W] into a column matrix
 // [C*KH*KW, OH*OW] so the convolution becomes a single matmul.
 //
-// Padded-edge handling is fringe-only: the in-bounds output window
-// [y_lo,y_hi)×[x_lo,x_hi) is solved per (ky,kx) offset up front, the
-// interior is copied branch-free (memcpy at stride 1), and zeros go only to
-// the pad-clipped fringe — instead of a per-element bounds branch over the
+// Padded-edge handling is fringe-only: the in-bounds output window is
+// solved once per (ky,kx) offset (every channel shares it), the interior is
+// copied branch-free (memcpy at stride 1), and zeros go only to the
+// pad-clipped fringe — instead of a per-element bounds branch over the
 // whole buffer. Output is bit-identical to the branchy form; the gradcheck
 // conv suites cover it.
 void im2col(const float* img, float* cols, std::int64_t c, std::int64_t h, std::int64_t w,
             std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t pad,
             std::int64_t oh, std::int64_t ow) {
   const std::int64_t spatial = oh * ow;
-  std::int64_t row = 0;
-  for (std::int64_t ci = 0; ci < c; ++ci)
-    for (std::int64_t ky = 0; ky < kh; ++ky)
-      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        float* dst = cols + row * spatial;
-        // iy = y*stride - pad + ky lies in [0, h) exactly for y in [y_lo, y_hi).
-        const std::int64_t y_lo = std::clamp<std::int64_t>(div_ceil(pad - ky, stride), 0, oh);
-        const std::int64_t y_hi =
-            std::clamp<std::int64_t>(div_floor(h - 1 + pad - ky, stride) + 1, y_lo, oh);
-        const std::int64_t x_lo = std::clamp<std::int64_t>(div_ceil(pad - kx, stride), 0, ow);
-        const std::int64_t x_hi =
-            std::clamp<std::int64_t>(div_floor(w - 1 + pad - kx, stride) + 1, x_lo, ow);
+  for (std::int64_t ky = 0; ky < kh; ++ky)
+    for (std::int64_t kx = 0; kx < kw; ++kx) {
+      const auto [y_lo, y_hi, x_lo, x_hi] = in_bounds_window(h, w, ky, kx, stride, pad, oh, ow);
+      for (std::int64_t ci = 0; ci < c; ++ci) {
+        float* dst = cols + ((ci * kh + ky) * kw + kx) * spatial;
         std::fill(dst, dst + y_lo * ow, 0.0f);
         for (std::int64_t y = y_lo; y < y_hi; ++y) {
           const std::int64_t iy = y * stride - pad + ky;
@@ -66,29 +77,42 @@ void im2col(const float* img, float* cols, std::int64_t c, std::int64_t h, std::
         }
         std::fill(dst + y_hi * ow, dst + oh * ow, 0.0f);
       }
+    }
 }
 
 // col2im: scatter-add a column matrix back into an image (adjoint of im2col).
+// The same in-bounds window as im2col, solved once per (ky,kx), replaces a
+// bounds test per element; out-of-bounds taps (the padding) have no
+// destination and are skipped. Row (ci, ky, kx) adds at most once to each
+// element of channel ci's plane, rows of different channels write disjoint
+// planes, and within a channel the rows still run in ascending (ky, kx)
+// order — so every element sees the same adds in the same order as the
+// per-element branchy loop, and the output bits are unchanged.
 void col2im(const float* cols, float* img, std::int64_t c, std::int64_t h, std::int64_t w,
             std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t pad,
             std::int64_t oh, std::int64_t ow) {
   const std::int64_t spatial = oh * ow;
-  std::int64_t row = 0;
-  for (std::int64_t ci = 0; ci < c; ++ci)
-    for (std::int64_t ky = 0; ky < kh; ++ky)
-      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        const float* src = cols + row * spatial;
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * stride - pad + ky;
-          if (iy < 0 || iy >= h) continue;
-          float* dst = img + (ci * h + iy) * w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * stride - pad + kx;
-            // pelta-lint: allow(R1) adjoint scatter-add, plain + in a fixed serial order
-            if (ix >= 0 && ix < w) dst[ix] += src[y * ow + x];
+  for (std::int64_t ky = 0; ky < kh; ++ky)
+    for (std::int64_t kx = 0; kx < kw; ++kx) {
+      const auto [y_lo, y_hi, x_lo, x_hi] = in_bounds_window(h, w, ky, kx, stride, pad, oh, ow);
+      if (x_lo == x_hi) continue;  // an empty window must not form the pointers
+      const std::int64_t len = x_hi - x_lo;
+      for (std::int64_t ci = 0; ci < c; ++ci) {
+        const float* src = cols + ((ci * kh + ky) * kw + kx) * spatial + x_lo;
+        float* dst = img + ci * h * w + (x_lo * stride - pad + kx);
+        for (std::int64_t y = y_lo; y < y_hi; ++y) {
+          const float* s = src + y * ow;
+          float* d = dst + (y * stride - pad + ky) * w;
+          if (stride == 1) {
+            // pelta-lint: allow(R1) adjoint scatter-add, plain + in a fixed serial row order
+            for (std::int64_t x = 0; x < len; ++x) d[x] += s[x];
+          } else {
+            // pelta-lint: allow(R1) adjoint scatter-add, plain + in a fixed serial row order
+            for (std::int64_t x = 0; x < len; ++x) d[x * stride] += s[x];
           }
         }
       }
+    }
 }
 
 using detail::finite_cache;

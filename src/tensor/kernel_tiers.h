@@ -15,7 +15,7 @@
 // Every tier runs the same lane-generic bodies (tier_body.h) and gives the
 // same output bits: per element the k-order is pinned, and the lane count
 // only changes which outputs share a register. No tier TU is built with
-// -mfma, and all of tensor/ compiles with -ffp-contract=off, so a tier's
+// -mfma, and the whole library compiles with -ffp-contract=off, so a tier's
 // `a * b + c` stays two roundings (-mavx512f would otherwise let GCC fuse
 // it). PELTA_NATIVE defines PELTA_FUSED_MADD for the whole build, which
 // turns detail::fmadd into a fused multiply-add in every tier alike.

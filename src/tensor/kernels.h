@@ -46,11 +46,50 @@ inline float fmadd(float a, float b, float c) {
 #endif
 }
 
-inline bool all_finite(const float* p, std::int64_t count) {
-  for (std::int64_t i = 0; i < count; ++i)
-    if (!std::isfinite(p[i])) return false;
-  return true;
+// ---- zero-skip gate scans ---------------------------------------------------
+//
+// all_finite and any_zero_in (and the per-tile copy in tier_body.h) walk
+// k_scan_block floats at a time: inside a block every element is compared
+// lane-wise into one mask, with no branch, and the scan exits early only
+// between blocks; the ragged tail is one branch-free scalar pass. GCC keeps
+// a per-element early-exit loop scalar (a compare and a jump per float),
+// and at that speed the scans cost as much as a shallow GEMM.
+
+/// Floats per scan block: 64 bytes, four 4-lane vectors. A 16-deep k-block
+/// row of the per-tile scan is exactly one block.
+inline constexpr std::int64_t k_scan_block = 16;
+
+using scan_f32x4 = float __attribute__((vector_size(16)));
+using scan_i32x4 = std::int32_t __attribute__((vector_size(16)));
+
+/// True iff some lane of a comparison mask is set.
+inline bool any_lane(scan_i32x4 mask) {
+  std::uint64_t words[2];
+  __builtin_memcpy(words, &mask, sizeof mask);
+  return (words[0] | words[1]) != 0;
 }
+
+/// False iff some element is Inf or NaN (std::isfinite per element): the
+/// exponent field is all ones exactly for those.
+inline bool all_finite(const float* p, std::int64_t count) {
+  constexpr std::int32_t exponent = 0x7f800000;
+  std::int64_t i = 0;
+  for (; i + k_scan_block <= count; i += k_scan_block) {
+    scan_i32x4 hit = {};
+    for (std::int64_t q = 0; q < k_scan_block; q += 4) {
+      scan_i32x4 bits;
+      __builtin_memcpy(&bits, p + i + q, sizeof bits);
+      hit |= (bits & exponent) == exponent;
+    }
+    if (any_lane(hit)) return false;
+  }
+  bool hit = false;
+  for (; i < count; ++i) hit |= !std::isfinite(p[i]);
+  return !hit;
+}
+
+/// True iff some element == 0.0f (-0.0f included). Defined in kernels.cpp.
+bool any_zero_in(const float* p, std::int64_t count);
 
 /// Lazily computed finiteness of one B operand: -1 unknown, 0 has
 /// non-finite values, 1 all finite. Chunks of one parallel split share the

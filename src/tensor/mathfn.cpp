@@ -1,6 +1,6 @@
 // fn::exp and fn::tanh entry points (see mathfn.h for the contract). The
 // vector bodies are in tier_body.h, compiled once per kernel tier with
-// -ffp-contract=off (src/tensor/CMakeLists.txt): every `a * b + c` there is
+// -ffp-contract=off (src/CMakeLists.txt): every `a * b + c` there is
 // a rounded multiply followed by a rounded add on every build and tier.
 #include "tensor/mathfn.h"
 

@@ -7,10 +7,10 @@
 // call was the largest cost left in the ViT forward. These are built only
 // from range reduction plus a fixed polynomial, evaluated as plain
 // multiply-then-add (never detail::fmadd, which becomes an FMA under
-// PELTA_NATIVE) in tier_body.h, which src/tensor/CMakeLists.txt compiles
-// with -ffp-contract=off into every kernel tier (kernel_tiers.h). Every
-// output bit is therefore the same on the portable and the native build, on
-// every tier and on any host.
+// PELTA_NATIVE) in tier_body.h, which compiles with the library-wide
+// -ffp-contract=off (src/CMakeLists.txt) into every kernel tier
+// (kernel_tiers.h). Every output bit is therefore the same on the portable
+// and the native build, on every tier and on any host.
 //
 // Each function has ONE lane-generic vector body, run at the active tier's
 // width (4, 8 or 16 lanes). The array maps run it over full vectors and run

@@ -91,14 +91,51 @@ inline V fmadd(V a, V b, V c) {
   return r;
 #endif
 #else
-  return a * b + c;  // two roundings: tensor/ compiles with -ffp-contract=off
+  return a * b + c;  // two roundings: the library compiles with -ffp-contract=off
 #endif
 }
 
+// True iff some lane of an int32 comparison mask is set: OR the halves
+// together down to 16 bytes, then test two 64-bit words.
+template <class I>
+inline bool any_lane(const I& mask) {
+  using i32x4 = std::int32_t __attribute__((vector_size(16)));
+  using i32x8 = std::int32_t __attribute__((vector_size(32)));
+  if constexpr (sizeof(I) == 64) {
+    i32x8 half[2];
+    __builtin_memcpy(half, &mask, sizeof mask);
+    return any_lane(half[0] | half[1]);
+  } else if constexpr (sizeof(I) == 32) {
+    i32x4 half[2];
+    __builtin_memcpy(half, &mask, sizeof mask);
+    return any_lane(half[0] | half[1]);
+  } else {
+    static_assert(sizeof(I) == 16);
+    std::uint64_t words[2];
+    __builtin_memcpy(words, &mask, sizeof mask);
+    return (words[0] | words[1]) != 0;
+  }
+}
+
+// True iff some element == 0.0f (-0.0f included): the baseline
+// detail::any_zero_in (kernels.h), which a tier TU cannot call, at the
+// tier's width. Each 16-float block is compared lane-wise into one mask
+// with no branch; the scan exits early only between blocks, and the ragged
+// tail is one branch-free scalar pass. A 16-deep k-block row is one block.
+template <class T>
 bool any_zero_in(const float* p, i64 count) {
-  for (i64 i = 0; i < count; ++i)
-    if (p[i] == 0.0f) return true;
-  return false;
+  using V = typename T::f32v;
+  constexpr i64 block = 16;  // kernels.h k_scan_block
+  static_assert(block % T::lanes == 0);
+  i64 i = 0;
+  for (; i + block <= count; i += block) {
+    typename T::i32v hit = {};
+    for (i64 q = 0; q < block; q += T::lanes) hit |= load<V>(p + i + q) == V{};
+    if (any_lane(hit)) return true;
+  }
+  bool hit = false;
+  for (; i < count; ++i) hit |= p[i] == 0.0f;
+  return hit;
 }
 
 // ---- fp32 blocked GEMM ------------------------------------------------------
@@ -235,7 +272,7 @@ void gemm_panels(const float* a, float* out, i64 m, i64 k, i64 n, const float* d
         if constexpr (Skip)
           for (i64 t = 0; t + MR <= rows; t += MR)
             for (i64 r = t; r < t + MR; ++r)
-              tile_zero[t / MR] = tile_zero[t / MR] || any_zero_in(ablk + r * k, kc);
+              tile_zero[t / MR] = tile_zero[t / MR] || any_zero_in<T>(ablk + r * k, kc);
         for (i64 j = 0; j < cols; j += SW) {
           if (in_place(j))
             strip_rows<T, Skip>(ablk, k, direct + k0 * n + j0 + j, n, oblk + j, n, kc, rows, SW,

@@ -2,6 +2,10 @@
 // paper's G = ⟨n, l, E, u, f⟩ introspection used by Algorithm 1.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "autodiff/graph.h"
 #include "autodiff/gradcheck.h"
 #include "autodiff/ops_elementwise.h"
@@ -189,6 +193,49 @@ TEST(Graph, NumericJacobianOfLinearMapIsItsMatrix) {
   const tensor x = tensor::randn(gen, {3});
   const tensor jac = numeric_jacobian(f, x, 1e-2f);
   EXPECT_LT(max_rel_error(jac, w), 0.05f);
+}
+
+// ReLU backward passes g where x > 0 and writes +0 elsewhere, bit for bit:
+// every pair of special values (NaN, ±0, ±Inf, ±denormal, ±normal) in the
+// input and the gradient, plus a ragged random tail past any vector width.
+// A NaN input is not > 0, so its gradient is +0; a NaN gradient passes
+// through a positive input.
+TEST(Relu, BackwardIsTheScalarSelectBitForBit) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1.5f,
+                            -2.25f};
+  std::vector<float> xs, gs;
+  for (const float x : specials)
+    for (const float gv : specials) {
+      xs.push_back(x);
+      gs.push_back(gv);
+    }
+  rng gen{23};
+  for (int i = 0; i < 37; ++i) {
+    xs.push_back(gen.uniform(-1.0f, 1.0f));
+    gs.push_back(gen.uniform(-1.0f, 1.0f));
+  }
+  const auto count = static_cast<std::int64_t>(xs.size());
+  const tensor x{shape_t{count}, xs};
+  const tensor g{shape_t{count}, gs};
+  const op_ptr relu = make_relu();
+  const std::vector<const tensor*> in{&x};
+  const tensor y = relu->forward(in);
+  const std::vector<tensor> grads = relu->backward(g, in, y);
+  ASSERT_EQ(grads.size(), 1u);
+  ASSERT_EQ(grads[0].numel(), count);
+  for (std::int64_t i = 0; i < count; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    const float want = xs[k] > 0.0f ? gs[k] : 0.0f;
+    EXPECT_EQ(0, std::memcmp(&want, &grads[0].data()[k], sizeof(float)))
+        << "x=" << xs[k] << " g=" << gs[k] << " got " << grads[0][i];
+  }
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 // Convolution / pooling kernels, including backward-vs-finite-difference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "autodiff/gradcheck.h"
+#include "reference_kernels.h"
 #include "tensor/conv.h"
 #include "tensor/kernels.h"  // detail::fmadd — the accumulation-policy reference
 #include "tensor/ops.h"
@@ -109,6 +114,73 @@ TEST(Conv2d, StridedBackwardMatchesFiniteDifference) {
   const tensor numeric = ad::numeric_grad(f, x, 1e-2f);
   const tensor analytic = ops::conv2d_backward_input(seed, w, 2, 1, x.shape());
   EXPECT_LT(ad::max_rel_error(analytic, numeric), 0.05f);
+}
+
+// The per-element branchy col2im that conv2d_backward_input's windowed
+// scatter replaced, frozen: every image element gets its adds from the
+// (ci, ky, kx) rows in this serial order.
+void frozen_col2im(const float* cols, float* img, std::int64_t c, std::int64_t h, std::int64_t w,
+                   std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t pad,
+                   std::int64_t oh, std::int64_t ow) {
+  const std::int64_t spatial = oh * ow;
+  std::int64_t row = 0;
+  for (std::int64_t ci = 0; ci < c; ++ci)
+    for (std::int64_t ky = 0; ky < kh; ++ky)
+      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
+        const float* src = cols + row * spatial;
+        for (std::int64_t y = 0; y < oh; ++y) {
+          const std::int64_t iy = y * stride - pad + ky;
+          if (iy < 0 || iy >= h) continue;
+          float* dst = img + (ci * h + iy) * w;
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t ix = x * stride - pad + kx;
+            if (ix >= 0 && ix < w) dst[ix] += src[y * ow + x];
+          }
+        }
+      }
+}
+
+// conv2d_backward_input == Wᵀ x grad_out through the frozen reference GEMM,
+// then the frozen col2im, bit for bit: strides, paddings (pad >= kernel
+// included, where whole taps fall in the padding) and kernels, on images
+// from the smallest that gives a 1-pixel output upwards.
+TEST(Conv2d, BackwardInputBitEqualsFrozenCol2im) {
+  rng g{12};
+  const std::int64_t b = 2, c = 2, oc = 3;
+  for (const std::int64_t stride : {1, 2, 3})
+    for (const std::int64_t pad : {0, 1, 2})
+      for (const std::int64_t k : {1, 2, 3, 5}) {
+        const std::int64_t smallest = std::max<std::int64_t>(1, k - 2 * pad);
+        for (const std::int64_t h : {smallest, smallest + 1, smallest + stride, std::int64_t{9}})
+          for (const std::int64_t w : {smallest, std::int64_t{8}}) {
+            const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+            const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
+            tensor weight = tensor::randn(g, {oc, c, k, k});
+            weight[0] = 0.0f;  // a zero weight: the GEMM's zero-skip gate opens
+            const tensor grad_out = tensor::randn(g, {b, oc, oh, ow});
+            const tensor got =
+                ops::conv2d_backward_input(grad_out, weight, stride, pad, {b, c, h, w});
+
+            const std::int64_t krows = c * k * k, spatial = oh * ow;
+            std::vector<float> wt_t(static_cast<std::size_t>(krows * oc));
+            for (std::int64_t o = 0; o < oc; ++o)
+              for (std::int64_t r = 0; r < krows; ++r)
+                wt_t[static_cast<std::size_t>(r * oc + o)] = weight[o * krows + r];
+            tensor want{shape_t{b, c, h, w}};
+            for (std::int64_t n = 0; n < b; ++n) {
+              std::vector<float> cols(static_cast<std::size_t>(krows * spatial), 0.0f);
+              ops::reference::reference_gemm(wt_t.data(),
+                                             grad_out.data().data() + n * oc * spatial,
+                                             cols.data(), krows, oc, spatial);
+              frozen_col2im(cols.data(), want.data().data() + n * c * h * w, c, h, w, k, k,
+                            stride, pad, oh, ow);
+            }
+            ASSERT_EQ(0, std::memcmp(got.data().data(), want.data().data(),
+                                     static_cast<std::size_t>(want.numel()) * sizeof(float)))
+                << "stride=" << stride << " pad=" << pad << " k=" << k << " h=" << h
+                << " w=" << w;
+          }
+      }
 }
 
 TEST(ConvTranspose, UpsamplesGeometry) {

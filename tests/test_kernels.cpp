@@ -197,6 +197,133 @@ TEST(BlockedGemm, PoisonedBPropagatesThroughZeroARow) {
   });
 }
 
+// ---- zero-skip gate predicates ----------------------------------------------
+//
+// The scans run branch-free over fixed blocks and exit early only between
+// blocks, so a block edge or the ragged tail is where one could drop an
+// element. Each value below is planted at every position of every length
+// from 0 to several blocks plus a tail; the expectations come from plain
+// per-element loops written here.
+
+const float k_planted[] = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::denorm_min()};
+
+bool scalar_any_zero(const float* p, std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i)
+    if (p[i] == 0.0f) return true;
+  return false;
+}
+
+bool scalar_all_finite(const float* p, std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i)
+    if (!std::isfinite(p[i])) return false;
+  return true;
+}
+
+TEST(GatePredicates, BaselineScansMatchThePerElementLoop) {
+  const std::int64_t max_len = 5 * ops::detail::k_scan_block + 7;
+  for (std::int64_t len = 0; len <= max_len; ++len) {
+    // One slot past the end holds a zero and a NaN in turn: the scan must
+    // not read it.
+    std::vector<float> buf(static_cast<std::size_t>(len + 1), 0.75f);
+    for (const float past : {0.0f, std::numeric_limits<float>::quiet_NaN()}) {
+      buf[static_cast<std::size_t>(len)] = past;
+      EXPECT_FALSE(ops::detail::any_zero_in(buf.data(), len)) << "len=" << len;
+      EXPECT_TRUE(ops::detail::all_finite(buf.data(), len)) << "len=" << len;
+    }
+    for (std::int64_t pos = 0; pos < len; ++pos)
+      for (const float v : k_planted) {
+        buf[static_cast<std::size_t>(pos)] = v;
+        ASSERT_EQ(ops::detail::any_zero_in(buf.data(), len), scalar_any_zero(buf.data(), len))
+            << "len=" << len << " pos=" << pos << " value=" << v;
+        ASSERT_EQ(ops::detail::all_finite(buf.data(), len), scalar_all_finite(buf.data(), len))
+            << "len=" << len << " pos=" << pos << " value=" << v;
+        buf[static_cast<std::size_t>(pos)] = 0.75f;
+      }
+  }
+}
+
+// The tier copy of the zero scan decides, per 4-row tile and k-block, whether
+// the tile runs the skipping body. It is observable through the tier's GEMM
+// with the skip gate forced on and B row `pos` all NaN: the planted row's
+// NaN term is skipped (finite output) exactly when the scan saw its zero,
+// and a missed zero leaves 0 * NaN = NaN. Depths cross the 256-deep k-block,
+// whose second block starts its own scan.
+TEST(GatePredicates, TierTileScanFindsEveryPlantedZero) {
+  for_each_tier([](const kernel_table& tier) {
+    const std::int64_t m = k_gemm_mr, n = tier.gemm_nr;
+    std::vector<std::int64_t> depths;
+    for (std::int64_t k = 1; k <= 5 * ops::detail::k_scan_block + 7; ++k) depths.push_back(k);
+    for (const std::int64_t k : {std::int64_t{255}, std::int64_t{256}, std::int64_t{257},
+                                 256 + 2 * ops::detail::k_scan_block + 5})
+      depths.push_back(k);
+    std::vector<float> panel(static_cast<std::size_t>(ops::detail::k_gemm_kc * n));
+    for (const std::int64_t k : depths)
+      for (std::int64_t pos = 0; pos < k; ++pos)
+        for (const float v : k_planted) {
+          const std::int64_t row = pos % m;
+          std::vector<float> a(static_cast<std::size_t>(m * k), 1.0f);
+          a[static_cast<std::size_t>(row * k + pos)] = v;
+          std::vector<float> b(static_cast<std::size_t>(k * n), 0.5f);
+          std::vector<float> bt(static_cast<std::size_t>(n * k), 0.5f);
+          for (std::int64_t j = 0; j < n; ++j) {
+            b[static_cast<std::size_t>(pos * n + j)] = std::numeric_limits<float>::quiet_NaN();
+            bt[static_cast<std::size_t>(j * k + pos)] = std::numeric_limits<float>::quiet_NaN();
+          }
+          const bool skipped = scalar_any_zero(&v, 1);
+          std::vector<float> out(static_cast<std::size_t>(m * n), 0.0f), out_bt = out;
+          tier.gemm(a.data(), b.data(), out.data(), m, k, n, /*skip=*/true, panel.data());
+          tier.gemm_bt(a.data(), bt.data(), out_bt.data(), m, k, n, /*skip=*/true, panel.data());
+          for (std::int64_t j = 0; j < n; ++j) {
+            ASSERT_EQ(std::isnan(out[static_cast<std::size_t>(row * n + j)]), !skipped)
+                << tier.name << " k=" << k << " pos=" << pos << " value=" << v;
+            ASSERT_EQ(std::isnan(out_bt[static_cast<std::size_t>(row * n + j)]), !skipped)
+                << tier.name << " bt k=" << k << " pos=" << pos << " value=" << v;
+          }
+        }
+  });
+}
+
+// Whole zero rows of A make the gate consult B; B's only NaN sits in the
+// scalar tail of the finiteness scan (the last element, count not a multiple
+// of the block). The scan must see it, turn the skip off, and let the NaN
+// surface through every zero row.
+TEST(GatePredicates, NanInTheTailOfTheBScanSurfacesThroughZeroRows) {
+  for_each_tier([](const kernel_table& tier) {
+    // k * n = 297: eighteen blocks and a 9-float tail; n is wide enough for
+    // every tier's strip.
+    const std::int64_t m = 6, k = 9, n = 33;
+    ASSERT_NE((k * n) % ops::detail::k_scan_block, 0);
+    std::vector<float> a(static_cast<std::size_t>(m * k), 1.0f);
+    for (const std::int64_t zero_row : {1, 4})
+      std::fill_n(a.begin() + zero_row * k, k, 0.0f);
+    std::vector<float> b(static_cast<std::size_t>(k * n), 0.5f);
+    b.back() = std::numeric_limits<float>::quiet_NaN();  // B[k-1][n-1]
+    std::vector<float> out(static_cast<std::size_t>(m * n), 0.0f);
+    finite_cache cache;
+    gemm_accumulate(a.data(), b.data(), out.data(), m, k, n, cache);
+    std::vector<float> bt(static_cast<std::size_t>(n * k), 0.5f);
+    bt.back() = std::numeric_limits<float>::quiet_NaN();  // B[k-1][n-1] as [n, k]
+    std::vector<float> out_bt(static_cast<std::size_t>(m * n), 0.0f);
+    finite_cache cache_bt;
+    gemm_accumulate_bt(a.data(), bt.data(), out_bt.data(), m, k, n, cache_bt);
+    for (std::int64_t i = 0; i < m; ++i) {
+      EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(i * n + n - 1)]))
+          << tier.name << " row " << i;
+      EXPECT_TRUE(std::isnan(out_bt[static_cast<std::size_t>(i * n + n - 1)]))
+          << tier.name << " bt row " << i;
+      for (std::int64_t j = 0; j + 1 < n; ++j) {
+        EXPECT_FALSE(std::isnan(out[static_cast<std::size_t>(i * n + j)])) << tier.name;
+        EXPECT_FALSE(std::isnan(out_bt[static_cast<std::size_t>(i * n + j)])) << tier.name;
+      }
+    }
+  });
+}
+
 TEST(BlockedGemm, MatmulBitIdenticalAcrossThreadWidths) {
   rng gen{53};
   const std::int64_t m = 130, k = 64, n = 50;  // m deliberately not a tile multiple
@@ -351,8 +478,10 @@ TEST(Elementwise, BitIdenticalAcrossThreadWidths) {
 }
 
 // Direct-convolution reference accumulating in the same (ci, ky, kx) order
-// as the im2col GEMM: values must match exactly (float ==, padding
-// contributes exact zero terms).
+// as the im2col GEMM, through detail::fmadd like every reference kernel
+// (the build compiles with -ffp-contract=off, so a raw `acc += w * v` stays
+// unfused while the PELTA_NATIVE kernels fuse): values must match exactly
+// (float ==, padding contributes exact zero terms).
 tensor reference_conv2d(const tensor& input, const tensor& weight, const tensor& bias,
                         std::int64_t stride, std::int64_t pad) {
   const std::int64_t b = input.size(0), c = input.size(1), h = input.size(2), w = input.size(3);
@@ -372,7 +501,7 @@ tensor reference_conv2d(const tensor& input, const tensor& weight, const tensor&
                 const std::int64_t ix = x * stride - pad + kx;
                 const float v =
                     (iy < 0 || iy >= h || ix < 0 || ix >= w) ? 0.0f : input.at(n, ci, iy, ix);
-                acc += weight.at(o, ci, ky, kx) * v;
+                acc = ops::detail::fmadd(weight.at(o, ci, ky, kx), v, acc);
               }
           out.at(n, o, y, x) = acc;
         }

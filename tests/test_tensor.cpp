@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
 #include "tensor/serialize.h"
@@ -348,7 +349,8 @@ TEST(Matmul, ZeroSkipFastPathStaysExactOnFiniteInputs) {
   for (std::int64_t i = 0; i < 5; ++i)
     for (std::int64_t j = 0; j < 3; ++j) {
       float acc = 0.0f;
-      for (std::int64_t k = 0; k < 4; ++k) acc += a.at(i, k) * b.at(k, j);
+      // detail::fmadd: the kernels' rounding choice, fused on PELTA_NATIVE.
+      for (std::int64_t k = 0; k < 4; ++k) acc = ops::detail::fmadd(a.at(i, k), b.at(k, j), acc);
       EXPECT_FLOAT_EQ(out.at(i, j), acc);
     }
 }
