@@ -87,12 +87,29 @@ private:
   }
 };
 
+// conv2d's weight [C, C', KH, KW] for the transposed convolution with kernel
+// k [C', C, KH, KW]: dims 0/1 swapped, taps reversed.
+tensor flip_kernel(const tensor& k) {
+  const std::int64_t cp = k.size(0), c = k.size(1), kh = k.size(2), kw = k.size(3);
+  tensor f{shape_t{c, cp, kh, kw}};
+  for (std::int64_t o = 0; o < cp; ++o)
+    for (std::int64_t i = 0; i < c; ++i)
+      for (std::int64_t y = 0; y < kh; ++y)
+        for (std::int64_t x = 0; x < kw; ++x) f.at(i, o, kh - 1 - y, kw - 1 - x) = k.at(o, i, y, x);
+  return f;
+}
+
 // Random-uniform initialized transposed-convolution upsampler lifting the
-// clear-layer adjoint δ_{L+1} back to image shape (§V-B).
+// clear-layer adjoint δ_{L+1} back to image shape (§V-B). The transposed
+// convolution with kernel K [C', C, KH, KW] runs on the GEMM-backed kernels,
+// and every route adds an output pixel's terms in the order of a direct
+// scatter (input channel, then input position), so the lift's bits are the
+// direct transposed convolution's.
 class adjoint_upsampler {
 public:
   tensor apply(const tensor& delta, const shape_t& image_shape, rng& gen) {
     const std::int64_t img_c = image_shape[0], img_h = image_shape[1], img_w = image_shape[2];
+    const shape_t lifted{1, img_c, img_h, img_w};
     if (delta.ndim() == 3) {
       // Token adjoint [1, T(+1), D] (ViT): drop the class token when
       // present, arrange the patch tokens on their grid as a channels-first
@@ -109,47 +126,66 @@ public:
       }
       const std::int64_t ps = img_h / grid;
       PELTA_CHECK_MSG(ps * grid == img_h && img_h == img_w, "token grid incompatible with image");
-      ensure_kernel(gen, {d, img_c, ps, ps});
+      const tensor& k = ensure_kernel(gen, {d, img_c, ps, ps}, layout::drawn);
       tensor grid_map{shape_t{1, d, grid, grid}};
       for (std::int64_t tok = 0; tok < t; ++tok)
         for (std::int64_t c = 0; c < d; ++c)
           grid_map.at(0, c, tok / grid, tok % grid) = delta.at(0, tok + first_row, c);
-      return ops::conv2d_transpose(grid_map, kernel_, ps, 0)
-          .reshape({img_c, img_h, img_w});
+      return ops::conv2d_backward_input(grid_map, k, ps, 0, lifted).reshape(image_shape);
     }
     if (delta.ndim() == 2) {
       // Dense adjoint [1, D] (plain DNN, §III): random linear lift to pixel
-      // space — the dense analogue of the transposed convolution, realized
-      // as a 1x1-input transposed conv whose kernel spans the whole image.
+      // space — the dense analogue of the transposed convolution, δ times a
+      // kernel whose D rows each span the whole image.
       PELTA_CHECK_MSG(delta.size(0) == 1, "unexpected adjoint shape " << to_string(delta.shape()));
-      ensure_kernel(gen, {delta.size(1), img_c, img_h, img_w});
-      return ops::conv2d_transpose(delta.reshape({1, delta.size(1), 1, 1}), kernel_, 1, 0)
-          .reshape({img_c, img_h, img_w});
+      const tensor& k = ensure_kernel(gen, {delta.size(1), img_c, img_h, img_w}, layout::rows);
+      return ops::matmul(delta, k).reshape(image_shape);
     }
     PELTA_CHECK_MSG(delta.ndim() == 4 && delta.size(0) == 1,
                     "unexpected adjoint shape " << to_string(delta.shape()));
     // Spatial adjoint [1, C', h, w] (ResNet/BiT).
     const std::int64_t h = delta.size(2);
     if (h == img_h) {
-      ensure_kernel(gen, {delta.size(1), img_c, 3, 3});
-      return ops::conv2d_transpose(delta, kernel_, 1, 1).reshape({img_c, img_h, img_w});
+      // 3x3, stride 1, pad 1: conv2d over the flipped kernel, whose
+      // (ci, ky, kx) k-order is the scatter's (ci, y, x) order per pixel.
+      const tensor& k = ensure_kernel(gen, {delta.size(1), img_c, 3, 3}, layout::flipped);
+      return ops::conv2d(delta, k, tensor{shape_t{0}}, 1, 1).reshape(image_shape);
     }
     const std::int64_t s = img_h / h;
     PELTA_CHECK_MSG(s * h == img_h, "adjoint spatial size incompatible with image");
-    ensure_kernel(gen, {delta.size(1), img_c, s, s});
-    return ops::conv2d_transpose(delta, kernel_, s, 0).reshape({img_c, img_h, img_w});
+    const tensor& k = ensure_kernel(gen, {delta.size(1), img_c, s, s}, layout::drawn);
+    return ops::conv2d_backward_input(delta, k, s, 0, lifted).reshape(image_shape);
   }
 
-  void invalidate() { kernel_ = tensor{}; }
+  void invalidate() { drawn_.clear(); }
 
 private:
-  void ensure_kernel(rng& gen, shape_t shape) {
-    if (kernel_.ndim() == 4 && kernel_.shape() == shape) return;
+  // How a route reads K [C', C, KH, KW].
+  enum class layout {
+    drawn,    // conv2d_backward_input's weight, as drawn
+    flipped,  // conv2d's weight: flip_kernel(K)
+    rows,     // matmul's right operand [C', C·KH·KW]
+  };
+
+  // Draws K at `shape` unless the cached kernel was drawn there for the same
+  // route, and lays it out once per draw, not per query.
+  const tensor& ensure_kernel(rng& gen, const shape_t& shape, layout l) {
+    if (drawn_ == shape && layout_ == l) return kernel_;
     const std::int64_t fan = shape[0] * shape[2] * shape[3];
     const float a = 1.0f / std::sqrt(static_cast<float>(fan));
-    kernel_ = tensor::rand_uniform(gen, std::move(shape), -a, a);
+    // The draw fills the values in order whatever the shape, so the rows
+    // layout is drawn in place.
+    kernel_ = tensor::rand_uniform(
+        gen, l == layout::rows ? shape_t{shape[0], shape[1] * shape[2] * shape[3]} : shape, -a,
+        a);
+    if (l == layout::flipped) kernel_ = flip_kernel(kernel_);
+    drawn_ = shape;
+    layout_ = l;
+    return kernel_;
   }
 
+  shape_t drawn_;
+  layout layout_ = layout::drawn;
   tensor kernel_;
 };
 

@@ -116,7 +116,6 @@ void col2im(const float* cols, float* img, std::int64_t c, std::int64_t h, std::
 }
 
 using detail::finite_cache;
-using detail::fmadd;
 using detail::gemm_accumulate;
 using detail::gemm_accumulate_bt;
 
@@ -267,52 +266,6 @@ tensor conv2d_backward_bias(const tensor& grad_out) {
     grad_b[o] = static_cast<float>(acc);
   }
   return grad_b;
-}
-
-tensor conv2d_transpose(const tensor& input, const tensor& weight, std::int64_t stride,
-                        std::int64_t pad) {
-  PELTA_CHECK_MSG(input.ndim() == 4 && weight.ndim() == 4,
-                  "conv2d_transpose shapes " << to_string(input.shape()) << ", "
-                                             << to_string(weight.shape()));
-  const std::int64_t b = input.size(0), c = input.size(1), h = input.size(2), w = input.size(3);
-  PELTA_CHECK_MSG(weight.size(0) == c, "conv2d_transpose channel mismatch");
-  const std::int64_t oc = weight.size(1), kh = weight.size(2), kw = weight.size(3);
-  const std::int64_t oh = (h - 1) * stride - 2 * pad + kh;
-  const std::int64_t ow = (w - 1) * stride - 2 * pad + kw;
-  PELTA_CHECK_MSG(oh > 0 && ow > 0, "conv2d_transpose output collapsed");
-
-  tensor out{shape_t{b, oc, oh, ow}};
-  const float* in = input.data().data();
-  const float* wt = weight.data().data();
-  float* op = out.data().data();
-  for (std::int64_t n = 0; n < b; ++n) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      for (std::int64_t y = 0; y < h; ++y) {
-        for (std::int64_t x = 0; x < w; ++x) {
-          const float v = in[((n * c + ci) * h + y) * w + x];
-          if (v == 0.0f) continue;
-          for (std::int64_t o = 0; o < oc; ++o) {
-            for (std::int64_t ky = 0; ky < kh; ++ky) {
-              const std::int64_t oy = y * stride - pad + ky;
-              if (oy < 0 || oy >= oh) continue;
-              float* out_row = op + ((n * oc + o) * oh + oy) * ow;
-              const float* wt_row = wt + ((ci * oc + o) * kh + ky) * kw;
-              for (std::int64_t kx = 0; kx < kw; ++kx) {
-                const std::int64_t ox = x * stride - pad + kx;
-                if (ox < 0 || ox >= ow) continue;
-                // detail::fmadd (R1): a raw `out += v * w` is exactly the
-                // contraction hazard the kernel policy exists for — on FMA
-                // targets -ffp-contract could fuse this path while the
-                // reference stays mul+add.
-                out_row[ox] = fmadd(v, wt_row[kx], out_row[ox]);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return out;
 }
 
 maxpool_result maxpool2x2(const tensor& input) {

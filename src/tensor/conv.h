@@ -1,7 +1,7 @@
 // Convolution and pooling kernels over NCHW tensors.
 //
-// Direct (non-im2col) loops — the simulated models are small, and direct
-// kernels keep the backward passes easy to audit against finite differences.
+// The convolutions lower to im2col + the tiered GEMM (tensor/kernels.h), the
+// input adjoint to a GEMM + col2im; pooling and upsampling are direct loops.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -21,13 +21,6 @@ tensor conv2d_backward_input(const tensor& grad_out, const tensor& weight, std::
 tensor conv2d_backward_weight(const tensor& grad_out, const tensor& input, std::int64_t stride,
                               std::int64_t pad, const shape_t& weight_shape);
 tensor conv2d_backward_bias(const tensor& grad_out);
-
-/// Transposed convolution ("deconvolution", Dumoulin & Visin): the geometric
-/// upsampling used by the PELTA attacker to lift the clear-layer adjoint
-/// back to input shape (§V-B). input [B, C, H, W], weight [C, OC, KH, KW].
-/// Output spatial size: (H-1)*stride - 2*pad + KH.
-tensor conv2d_transpose(const tensor& input, const tensor& weight, std::int64_t stride,
-                        std::int64_t pad);
 
 /// 2x2 max pooling with stride 2; also returns flat argmax indices for the
 /// backward pass (same shape as the output).

@@ -183,20 +183,32 @@ TEST(Conv2d, BackwardInputBitEqualsFrozenCol2im) {
       }
 }
 
+// The transposed convolution the shielded oracle lifts adjoints with runs
+// on two kernels: conv2d_backward_input when the stride equals the kernel
+// (pad 0), conv2d over reference::flip_kernel at stride 1. The frozen
+// scatter, reference::reference_conv2d_transpose, is what both must equal.
+bool same_bits(const tensor& a, const tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
 TEST(ConvTranspose, UpsamplesGeometry) {
   rng g{6};
   tensor x = tensor::randn(g, {1, 4, 4, 4});
   tensor w = tensor::randn(g, {4, 3, 4, 4});
-  tensor y = ops::conv2d_transpose(x, w, 4, 0);
+  tensor y = ops::conv2d_backward_input(x, w, 4, 0, {1, 3, 16, 16});
   EXPECT_EQ(y.shape(), (shape_t{1, 3, 16, 16}));
+  EXPECT_TRUE(same_bits(y, ops::reference::reference_conv2d_transpose(x, w, 4, 0)));
 }
 
 TEST(ConvTranspose, Stride1KeepsShapeWithPad1Kernel3) {
   rng g{7};
   tensor x = tensor::randn(g, {1, 5, 8, 8});
   tensor w = tensor::randn(g, {5, 3, 3, 3});
-  tensor y = ops::conv2d_transpose(x, w, 1, 1);
+  tensor y = ops::conv2d(x, ops::reference::flip_kernel(w), tensor{shape_t{0}}, 1, 1);
   EXPECT_EQ(y.shape(), (shape_t{1, 3, 8, 8}));
+  EXPECT_TRUE(same_bits(y, ops::reference::reference_conv2d_transpose(x, w, 1, 1)));
 }
 
 TEST(ConvTranspose, IsAdjointOfConv) {
@@ -208,21 +220,20 @@ TEST(ConvTranspose, IsAdjointOfConv) {
 
   const tensor cx = ops::conv2d(x, w, tensor{shape_t{0}}, 1, 1);
   // The conv weight [OC,C,KH,KW] reinterpreted as a transposed-conv weight
-  // [C'=OC, OC'=C, KH, KW] yields the exact adjoint — no kernel flip needed
-  // with this layout convention.
-  const tensor ty = ops::conv2d_transpose(y, w, 1, 1);
+  // [C'=OC, OC'=C, KH, KW] yields the exact adjoint.
+  const tensor ty = ops::conv2d(y, ops::reference::flip_kernel(w), tensor{shape_t{0}}, 1, 1);
   EXPECT_NEAR(ops::dot(cx, y), ops::dot(x, ty), 1e-3f);
 }
 
 TEST(ConvTranspose, FollowsTheFmaddPolicy) {
-  // The scatter accumulation must round exactly like ops::detail::fmadd in
-  // the implementation's loop order (R1): a raw `out += v * w` would let
-  // -ffp-contract fuse it on FMA targets, making the transpose round
-  // differently per build flag while conv2d stays mul+add.
+  // The frozen scatter must round exactly like ops::detail::fmadd in its
+  // loop order (R1): a raw `out += v * w` would let -ffp-contract fuse it
+  // on FMA targets, making the reference round differently per build flag
+  // while the kernels it pins stay on the policy.
   rng g{11};
   const tensor x = tensor::randn(g, {1, 2, 2, 2});
   const tensor w = tensor::randn(g, {2, 2, 2, 2});  // [C, OC, KH, KW]
-  const tensor y = ops::conv2d_transpose(x, w, 1, 0);
+  const tensor y = ops::reference::reference_conv2d_transpose(x, w, 1, 0);
   ASSERT_EQ(y.shape(), (shape_t{1, 2, 3, 3}));
 
   tensor expect = tensor::zeros(y.shape());
