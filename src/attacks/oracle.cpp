@@ -247,27 +247,25 @@ private:
 
 tensor attention_rollout(const models::model& m, const ad::graph& g,
                          const shape_t& image_shape) {
-  const std::int64_t blocks = m.attention_blocks(), heads = m.attention_heads();
-  PELTA_CHECK_MSG(blocks > 0 && heads > 0,
-                  "attention_rollout on a model without attention: " << m.name());
+  const std::int64_t blocks = m.attention_blocks();
+  PELTA_CHECK_MSG(blocks > 0, "attention_rollout on a model without attention: " << m.name());
+  PELTA_CHECK_MSG(g.value(g.inputs().at(0)).size(0) == 1, "attention_rollout needs a batch-1 pass");
 
   tensor rollout;  // [T+1, T+1]
   for (std::int64_t l = 0; l < blocks; ++l) {
-    tensor avg;  // mean over heads of W_att
-    for (std::int64_t h = 0; h < heads; ++h) {
-      const ad::node_id id = g.find_tag(m.attention_softmax_tag(l, h));
-      PELTA_CHECK_MSG(id != ad::invalid_node, "attention node missing for rollout");
-      const tensor& probs = g.value(id);  // [1, T+1, T+1]
-      tensor flat = probs.reshape({probs.size(1), probs.size(2)});
-      if (h == 0)
-        avg = std::move(flat);
-      else
-        avg.add_(flat);
-    }
+    const ad::node_id id = g.find_tag(m.attention_softmax_tag(l));
+    PELTA_CHECK_MSG(id != ad::invalid_node, "attention node missing for rollout");
+    const tensor& probs = g.value(id);  // [heads, T+1, T+1]: batch 1, one slice per head
+    const std::int64_t heads = probs.size(0), t1 = probs.size(1);
+    tensor avg{shape_t{t1, t1}};  // mean over heads of W_att
+    const auto pp = probs.data();
+    auto pa = avg.data();
+    for (std::int64_t h = 0; h < heads; ++h)
+      for (std::size_t i = 0; i < pa.size(); ++i)
+        pa[i] += pp[static_cast<std::size_t>(h) * pa.size() + i];
     avg.mul_(1.0f / static_cast<float>(heads));
 
     // A_l = row-normalized (0.5 W̄ + 0.5 I) — Eq. 4's per-block factor.
-    const std::int64_t t1 = avg.size(0);
     for (std::int64_t i = 0; i < t1; ++i) {
       double row = 0.0;
       for (std::int64_t j = 0; j < t1; ++j) {

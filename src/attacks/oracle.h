@@ -76,7 +76,7 @@ std::unique_ptr<gradient_oracle> make_shielded_oracle_depth(const models::model&
 std::unique_ptr<gradient_oracle> make_param_shield_oracle(const models::model& m,
                                                           tee::enclave* enclave = nullptr);
 
-/// Attention rollout over a ViT forward pass (shared with SAGA):
+/// Attention rollout over a batch-1 ViT forward pass (shared with SAGA):
 /// R = Π_l row_norm(0.5·mean_h W_att + 0.5·I); saliency = class-token row,
 /// reshaped to the patch grid, bilinearly upsampled to pixels, normalized
 /// to unit mean, broadcast over channels.

@@ -1,5 +1,7 @@
 #include "autodiff/ops_linalg.h"
 
+#include <algorithm>
+
 #include "tensor/ops.h"
 
 namespace pelta::ad {
@@ -38,18 +40,20 @@ public:
   }
 };
 
-class transpose_last2_op final : public op {
+class bmm_bt_op final : public op {
 public:
-  std::string_view name() const override { return "transpose"; }
+  std::string_view name() const override { return "bmm_bt"; }
 
   tensor forward(std::span<const tensor* const> in) override {
-    PELTA_CHECK(in.size() == 1);
-    return ops::transpose_last2(*in[0]);
+    PELTA_CHECK(in.size() == 2);
+    return ops::bmm_bt(*in[0], *in[1]);
   }
 
-  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const>,
+  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
                                const tensor&) const override {
-    return {ops::transpose_last2(g)};
+    // dA = g B ; dB = (Aᵀ g)ᵀ
+    return {ops::bmm(g, *in[1]),
+            ops::transpose_last2(ops::bmm(ops::transpose_last2(*in[0]), g))};
   }
 };
 
@@ -74,104 +78,48 @@ private:
   shape_t new_shape_;
 };
 
-class slice_lastdim_op final : public op {
+// Moves each dh-float head row between the token layout [B,T,H·dh], where
+// (b,t,h) starts at ((b·T+t)·H+h)·dh, and the head layout [B·H,T,dh], where
+// it starts at ((b·H+h)·T+t)·dh.
+class heads_op final : public op {
 public:
-  slice_lastdim_op(std::int64_t start, std::int64_t len) : start_{start}, len_{len} {
-    PELTA_CHECK(start >= 0 && len > 0);
+  heads_op(std::int64_t heads, bool split) : heads_{heads}, split_{split} {
+    PELTA_CHECK(heads > 0);
   }
-  std::string_view name() const override { return "slice_lastdim"; }
+  std::string_view name() const override { return split_ ? "split_heads" : "merge_heads"; }
 
   tensor forward(std::span<const tensor* const> in) override {
     PELTA_CHECK(in.size() == 1);
-    const tensor& x = *in[0];
-    const std::int64_t last = x.size(-1);
-    PELTA_CHECK_MSG(start_ + len_ <= last, "slice [" << start_ << ", " << start_ + len_
-                                                     << ") exceeds last dim " << last);
-    shape_t os = x.shape();
-    os.back() = len_;
-    tensor out{os};
-    const std::int64_t rows = x.numel() / last;
-    auto px = x.data();
-    auto po = out.data();
-    for (std::int64_t r = 0; r < rows; ++r)
-      for (std::int64_t c = 0; c < len_; ++c)
-        po[static_cast<std::size_t>(r * len_ + c)] =
-            px[static_cast<std::size_t>(r * last + start_ + c)];
-    return out;
+    return move_heads(*in[0], split_);
   }
 
-  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
+  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const>,
                                const tensor&) const override {
-    const tensor& x = *in[0];
-    const std::int64_t last = x.size(-1);
-    tensor gx{x.shape()};
-    const std::int64_t rows = x.numel() / last;
-    auto pg = g.data();
-    auto po = gx.data();
-    for (std::int64_t r = 0; r < rows; ++r)
-      for (std::int64_t c = 0; c < len_; ++c)
-        po[static_cast<std::size_t>(r * last + start_ + c)] =
-            pg[static_cast<std::size_t>(r * len_ + c)];
-    return {std::move(gx)};
+    return {move_heads(g, !split_)};
   }
 
 private:
-  std::int64_t start_;
-  std::int64_t len_;
-};
-
-class concat_lastdim_op final : public op {
-public:
-  std::string_view name() const override { return "concat_lastdim"; }
-
-  tensor forward(std::span<const tensor* const> in) override {
-    PELTA_CHECK_MSG(in.size() >= 2, "concat needs >= 2 parents");
-    const shape_t lead{in[0]->shape().begin(), in[0]->shape().end() - 1};
-    std::int64_t total_last = 0;
-    for (const tensor* t : in) {
-      PELTA_CHECK_MSG(shape_t(t->shape().begin(), t->shape().end() - 1) == lead,
-                      "concat leading-shape mismatch");
-      total_last += t->size(-1);
-    }
-    shape_t os = in[0]->shape();
-    os.back() = total_last;
-    tensor out{os};
-    const std::int64_t rows = numel_of(lead);
-    auto po = out.data();
-    std::int64_t col0 = 0;
-    for (const tensor* t : in) {
-      const std::int64_t last = t->size(-1);
-      auto pt = t->data();
-      for (std::int64_t r = 0; r < rows; ++r)
-        for (std::int64_t c = 0; c < last; ++c)
-          po[static_cast<std::size_t>(r * total_last + col0 + c)] =
-              pt[static_cast<std::size_t>(r * last + c)];
-      col0 += last;
-    }
+  tensor move_heads(const tensor& x, bool split) const {
+    PELTA_CHECK_MSG(x.ndim() == 3 && (split ? x.size(2) : x.size(0)) % heads_ == 0,
+                    (split ? "split_heads" : "merge_heads")
+                        << " of " << to_string(x.shape()) << " into " << heads_ << " heads");
+    const std::int64_t b = split ? x.size(0) : x.size(0) / heads_, t = x.size(1);
+    const std::int64_t dh = split ? x.size(2) / heads_ : x.size(2);
+    tensor out{split ? shape_t{b * heads_, t, dh} : shape_t{b, t, heads_ * dh}};
+    const float* px = x.data().data();
+    float* po = out.data().data();
+    for (std::int64_t n = 0; n < b; ++n)
+      for (std::int64_t r = 0; r < t; ++r)
+        for (std::int64_t h = 0; h < heads_; ++h) {
+          const std::int64_t tok = ((n * t + r) * heads_ + h) * dh;
+          const std::int64_t head = ((n * heads_ + h) * t + r) * dh;
+          std::copy_n(px + (split ? tok : head), dh, po + (split ? head : tok));
+        }
     return out;
   }
 
-  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
-                               const tensor& out) const override {
-    const std::int64_t total_last = out.size(-1);
-    const std::int64_t rows = out.numel() / total_last;
-    std::vector<tensor> grads;
-    grads.reserve(in.size());
-    auto pg = g.data();
-    std::int64_t col0 = 0;
-    for (const tensor* t : in) {
-      const std::int64_t last = t->size(-1);
-      tensor gt{t->shape()};
-      auto po = gt.data();
-      for (std::int64_t r = 0; r < rows; ++r)
-        for (std::int64_t c = 0; c < last; ++c)
-          po[static_cast<std::size_t>(r * last + c)] =
-              pg[static_cast<std::size_t>(r * total_last + col0 + c)];
-      col0 += last;
-      grads.push_back(std::move(gt));
-    }
-    return grads;
-  }
+  std::int64_t heads_;
+  bool split_;
 };
 
 class prepend_token_op final : public op {
@@ -246,17 +194,15 @@ private:
 
 op_ptr make_matmul() { return std::make_unique<matmul_op>(); }
 op_ptr make_bmm() { return std::make_unique<bmm_op>(); }
-op_ptr make_transpose_last2() { return std::make_unique<transpose_last2_op>(); }
+op_ptr make_bmm_bt() { return std::make_unique<bmm_bt_op>(); }
 op_ptr make_reshape(shape_t new_shape) { return std::make_unique<reshape_op>(std::move(new_shape)); }
 
 const shape_t* reshape_shape_of(const op& o) {
   const auto* r = dynamic_cast<const reshape_op*>(&o);
   return r != nullptr ? &r->target_shape() : nullptr;
 }
-op_ptr make_slice_lastdim(std::int64_t start, std::int64_t len) {
-  return std::make_unique<slice_lastdim_op>(start, len);
-}
-op_ptr make_concat_lastdim() { return std::make_unique<concat_lastdim_op>(); }
+op_ptr make_split_heads(std::int64_t heads) { return std::make_unique<heads_op>(heads, true); }
+op_ptr make_merge_heads(std::int64_t heads) { return std::make_unique<heads_op>(heads, false); }
 op_ptr make_prepend_token() { return std::make_unique<prepend_token_op>(); }
 op_ptr make_slice_row(std::int64_t t) { return std::make_unique<slice_row_op>(t); }
 

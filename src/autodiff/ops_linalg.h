@@ -9,11 +9,11 @@ namespace pelta::ad {
 /// [M,K] x [K,N] -> [M,N].
 op_ptr make_matmul();
 
-/// Batched [B,M,K] x [B,K,N] -> [B,M,N] (attention scores / context).
+/// Batched [B,M,K] x [B,K,N] -> [B,M,N] (attention context P·V).
 op_ptr make_bmm();
 
-/// [B,M,N] -> [B,N,M].
-op_ptr make_transpose_last2();
+/// Batched [B,M,K] x [B,N,K]ᵀ -> [B,M,N] (attention scores Q·Kᵀ).
+op_ptr make_bmm_bt();
 
 /// View with a new shape (numel preserved).
 op_ptr make_reshape(shape_t new_shape);
@@ -24,11 +24,13 @@ op_ptr make_reshape(shape_t new_shape);
 /// header-visible types.
 const shape_t* reshape_shape_of(const op& o);
 
-/// x[..., start : start+len] over the last dimension (per-head split).
-op_ptr make_slice_lastdim(std::int64_t start, std::int64_t len);
+/// [B,T,H·dh] -> [B·H,T,dh]: row b·H+h holds head h of batch row b, so one
+/// batched product runs every head. The last dim must divide by `heads`.
+op_ptr make_split_heads(std::int64_t heads);
 
-/// Concatenate k parents along the last dimension (head merge).
-op_ptr make_concat_lastdim();
+/// [B·H,T,dh] -> [B,T,H·dh], the inverse of split_heads; each one's backward
+/// is the other's forward. The leading dim must divide by `heads`.
+op_ptr make_merge_heads(std::int64_t heads);
 
 /// Parents (token [D], tokens [B,T,D]) -> [B,T+1,D]; the learnable class
 /// token is broadcast across the batch and prepended as row 0 (ViT).

@@ -44,10 +44,8 @@ public:
 
   // ---- attention introspection (SAGA Eq. 4); zero / empty for CNNs --------
   virtual std::int64_t attention_blocks() const { return 0; }
-  virtual std::int64_t attention_heads() const { return 0; }
-  virtual std::string attention_softmax_tag(std::int64_t /*block*/, std::int64_t /*head*/) const {
-    return {};
-  }
+  /// Tag of block `block`'s softmax node: [B·heads, T, T], row b·heads+h.
+  virtual std::string attention_softmax_tag(std::int64_t /*block*/) const { return {}; }
 
   /// Batch-norm running-statistics buffers (empty for BN-free models).
   /// These are state, not parameters: FL deployments must ship them with

@@ -39,9 +39,9 @@ forward_pass vit_model::forward(const tensor& images, ad::norm_mode /*mode*/) co
   return fp;
 }
 
-std::string vit_model::attention_softmax_tag(std::int64_t block, std::int64_t head) const {
-  PELTA_CHECK(block >= 0 && block < config_.blocks && head >= 0 && head < config_.heads);
-  return "enc" + std::to_string(block) + ".attn.softmax.h" + std::to_string(head);
+std::string vit_model::attention_softmax_tag(std::int64_t block) const {
+  PELTA_CHECK(block >= 0 && block < config_.blocks);
+  return "enc" + std::to_string(block) + ".attn.softmax";
 }
 
 }  // namespace pelta::models

@@ -39,8 +39,7 @@ public:
   std::vector<std::string> shield_frontier_tags() const override { return {"embed.out"}; }
 
   std::int64_t attention_blocks() const override { return config_.blocks; }
-  std::int64_t attention_heads() const override { return config_.heads; }
-  std::string attention_softmax_tag(std::int64_t block, std::int64_t head) const override;
+  std::string attention_softmax_tag(std::int64_t block) const override;
 
   const vit_config& config() const { return config_; }
 

@@ -20,37 +20,20 @@ multi_head_attention::multi_head_attention(param_store& store, rng& gen, std::st
 }
 
 ad::node_id multi_head_attention::apply(ad::graph& g, ad::node_id x) const {
-  const std::int64_t dh = dim_ / heads_;
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
+  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dim_ / heads_));
+  const auto split = [&](const token_linear_layer& proj) {
+    return g.add_transform(ad::make_split_heads(heads_), {proj.apply(g, x)});
+  };
+  const ad::node_id q = split(q_);
+  const ad::node_id k = split(k_);
+  const ad::node_id v = split(v_);
 
-  const ad::node_id q = q_.apply(g, x);
-  const ad::node_id k = k_.apply(g, x);
-  const ad::node_id v = v_.apply(g, x);
-
-  std::vector<ad::node_id> head_outputs;
-  head_outputs.reserve(static_cast<std::size_t>(heads_));
-  for (std::int64_t h = 0; h < heads_; ++h) {
-    const auto tag = [&](const char* part) {
-      return name_ + "." + part + ".h" + std::to_string(h);
-    };
-    const ad::node_id qh = g.add_transform(ad::make_slice_lastdim(h * dh, dh), {q});
-    const ad::node_id kh = g.add_transform(ad::make_slice_lastdim(h * dh, dh), {k});
-    const ad::node_id vh = g.add_transform(ad::make_slice_lastdim(h * dh, dh), {v});
-    const ad::node_id kt = g.add_transform(ad::make_transpose_last2(), {kh});
-    const ad::node_id scores_raw = g.add_transform(ad::make_bmm(), {qh, kt});
-    const ad::node_id scores =
-        g.add_transform(ad::make_scale(inv_sqrt_dh), {scores_raw}, tag("scores"));
-    const ad::node_id probs =
-        g.add_transform(ad::make_softmax_lastdim(), {scores}, tag("softmax"));
-    head_outputs.push_back(g.add_transform(ad::make_bmm(), {probs, vh}, tag("context")));
-  }
-
-  ad::node_id merged;
-  if (heads_ == 1)
-    merged = head_outputs[0];
-  else
-    merged = g.add_transform(ad::make_concat_lastdim(), head_outputs, name_ + ".merge");
-  return out_.apply(g, merged);
+  const ad::node_id scores_raw = g.add_transform(ad::make_bmm_bt(), {q, k});
+  const ad::node_id scores = g.add_transform(ad::make_scale(inv_sqrt_dh), {scores_raw});
+  const ad::node_id probs =
+      g.add_transform(ad::make_softmax_lastdim(), {scores}, name_ + ".softmax");
+  const ad::node_id context = g.add_transform(ad::make_bmm(), {probs, v});
+  return out_.apply(g, g.add_transform(ad::make_merge_heads(heads_), {context}));
 }
 
 }  // namespace pelta::nn

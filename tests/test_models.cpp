@@ -89,9 +89,10 @@ TEST(Vit, ForwardShapesAndTags) {
     EXPECT_NE(fp.graph.find_tag(tag), ad::invalid_node) << tag;
   // Attention introspection used by SAGA.
   EXPECT_EQ(m.attention_blocks(), 1);
-  EXPECT_EQ(m.attention_heads(), 2);
-  EXPECT_NE(fp.graph.find_tag(m.attention_softmax_tag(0, 1)), ad::invalid_node);
-  EXPECT_THROW(m.attention_softmax_tag(5, 0), error);
+  const ad::node_id sm = fp.graph.find_tag(m.attention_softmax_tag(0));
+  ASSERT_NE(sm, ad::invalid_node);
+  EXPECT_EQ(fp.graph.value(sm).shape(), (shape_t{2 * 2, 17, 17}));  // [B·heads, T+1, T+1]
+  EXPECT_THROW(m.attention_softmax_tag(5), error);
 }
 
 TEST(Vit, RejectsWrongInputShape) {
@@ -111,7 +112,11 @@ TEST(Vit, RejectsWrongInputShape) {
 // The heap policy (tensor/scratch.cpp) keeps the memory a forward frees
 // mapped, so the next batch does not page-fault it back in: without it a
 // steady-state batch-32 forward took about 430 minor faults at widths 1
-// and 2.
+// and 2. The retained heap takes a few forwards to grow: requests of
+// 128 KiB and more (here the [B·H,T,T] attention scores and the MLP hidden
+// activations) are mmapped until a freed chunk fits them. At width 1 the
+// faults per forward read 1595, 555, 194, 68, then 0 from the fifth on, so
+// four forwards warm up.
 TEST(Vit, SteadyStateBatchForwardDoesNotPageFault) {
 #if !defined(__GLIBC__)
   GTEST_SKIP() << "the heap policy is a glibc mallopt setting";
@@ -130,7 +135,7 @@ TEST(Vit, SteadyStateBatchForwardDoesNotPageFault) {
   };
   for (const int width : {1, 2}) {
     const concurrency_guard guard{width};
-    for (int i = 0; i < 3; ++i) (void)model->forward(images, ad::norm_mode::eval);
+    for (int i = 0; i < 4; ++i) (void)model->forward(images, ad::norm_mode::eval);
     constexpr int k_forwards = 4;
     const double before = minor_faults();
     for (int i = 0; i < k_forwards; ++i) (void)model->forward(images, ad::norm_mode::eval);

@@ -169,18 +169,17 @@ TEST(Attention, OutputShapeAndSoftmaxTags) {
   const ad::node_id y = mha.apply(gr, x);
   EXPECT_EQ(gr.value(y).shape(), (shape_t{2, 5, 8}));
 
-  for (int h = 0; h < 2; ++h) {
-    const ad::node_id sm = gr.find_tag("attn.softmax.h" + std::to_string(h));
-    ASSERT_NE(sm, ad::invalid_node);
-    const tensor& probs = gr.value(sm);
-    EXPECT_EQ(probs.shape(), (shape_t{2, 5, 5}));
-    for (std::int64_t b = 0; b < 2; ++b)
-      for (std::int64_t i = 0; i < 5; ++i) {
-        double row = 0.0;
-        for (std::int64_t j = 0; j < 5; ++j) row += probs.at(b, i, j);
-        EXPECT_NEAR(row, 1.0, 1e-5);
-      }
-  }
+  // One softmax node for all heads: [B·H, T, T], row b·H+h.
+  const ad::node_id sm = gr.find_tag("attn.softmax");
+  ASSERT_NE(sm, ad::invalid_node);
+  const tensor& probs = gr.value(sm);
+  EXPECT_EQ(probs.shape(), (shape_t{4, 5, 5}));
+  for (std::int64_t bh = 0; bh < 4; ++bh)
+    for (std::int64_t i = 0; i < 5; ++i) {
+      double row = 0.0;
+      for (std::int64_t j = 0; j < 5; ++j) row += probs.at(bh, i, j);
+      EXPECT_NEAR(row, 1.0, 1e-5);
+    }
 }
 
 TEST(Attention, IndivisibleHeadsThrow) {

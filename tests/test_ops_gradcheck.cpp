@@ -3,7 +3,9 @@
 // (parameterized suite), for every parent it feeds gradients to.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
+#include <limits>
 
 #include "autodiff/gradcheck.h"
 #include "autodiff/graph.h"
@@ -88,13 +90,10 @@ std::vector<op_case> all_cases() {
   }
   cases.push_back({"matmul", [] { return make_matmul(); }, {{3, 4}, {4, 2}}, {0, 1}});
   cases.push_back({"bmm", [] { return make_bmm(); }, {{2, 3, 4}, {2, 4, 2}}, {0, 1}});
-  cases.push_back({"transpose", [] { return make_transpose_last2(); }, {{2, 3, 4}}, {0}});
+  cases.push_back({"bmm_bt", [] { return make_bmm_bt(); }, {{2, 3, 4}, {2, 5, 4}}, {0, 1}});
   cases.push_back({"reshape", [] { return make_reshape({6, 2}); }, {{3, 4}}, {0}});
-  cases.push_back({"slice_lastdim", [] { return make_slice_lastdim(1, 2); }, {{2, 3, 4}}, {0}});
-  cases.push_back({"concat_lastdim",
-                   [] { return make_concat_lastdim(); },
-                   {{2, 3, 2}, {2, 3, 3}},
-                   {0, 1}});
+  cases.push_back({"split_heads", [] { return make_split_heads(3); }, {{2, 4, 6}}, {0}});
+  cases.push_back({"merge_heads", [] { return make_merge_heads(3); }, {{6, 4, 2}}, {0}});
   cases.push_back(
       {"prepend_token", [] { return make_prepend_token(); }, {{4}, {2, 3, 4}}, {0, 1}});
   cases.push_back({"slice_row", [] { return make_slice_row(1); }, {{2, 3, 4}}, {0}});
@@ -185,6 +184,33 @@ TEST_P(OpGradcheck, AllOpsMatchFiniteDifferences) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OpGradcheck, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// ---- layout ops: exact identities and shape checks ---------------------------
+
+TEST(HeadsLayout, MergeOfSplitIsTheIdentityBitForBit) {
+  rng g{17};
+  tensor x0 = tensor::randn(g, {3, 5, 8});
+  x0[7] = -0.0f;
+  x0[11] = std::numeric_limits<float>::quiet_NaN();
+  graph gr;
+  const node_id x = gr.add_input(x0);
+  const node_id split = gr.add_transform(make_split_heads(4), {x});
+  EXPECT_EQ(gr.value(split).shape(), (shape_t{12, 5, 2}));
+  // Row b·H+h of the split holds head h of batch row b.
+  EXPECT_EQ(gr.value(split).at(2 * 4 + 3, 4, 1), x0.at(2, 4, 3 * 2 + 1));
+  const node_id merged = gr.add_transform(make_merge_heads(4), {split});
+  ASSERT_EQ(gr.value(merged).shape(), x0.shape());
+  EXPECT_EQ(std::memcmp(gr.value(merged).data().data(), x0.data().data(),
+                        static_cast<std::size_t>(x0.numel()) * sizeof(float)),
+            0);
+}
+
+TEST(HeadsLayout, RejectsIndivisibleDims) {
+  graph gr;
+  const node_id x = gr.add_input(tensor::zeros({2, 3, 6}));
+  EXPECT_THROW(gr.add_transform(make_split_heads(4), {x}), error);   // last dim 6
+  EXPECT_THROW(gr.add_transform(make_merge_heads(4), {x}), error);   // leading dim 2
+}
 
 // ---- ops whose state/setup does not fit the generic harness ------------------
 
