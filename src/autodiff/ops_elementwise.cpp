@@ -189,59 +189,95 @@ private:
   }
 };
 
-// Softmax over the last dimension, numerically stabilized per row.
+// Each last-dim row of t becomes softmax(scale · row), in place and
+// numerically stabilized per row. The scaled row is what a scale op would
+// have produced, so a softmax that folds its scale in keeps those bits.
+void softmax_rows_(tensor& t, float scale) {
+  PELTA_CHECK(t.ndim() >= 1);
+  const std::int64_t last = t.size(-1);
+  const std::int64_t rows = t.numel() / last;
+  float* p = t.data().data();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* row = p + r * last;
+    for (std::int64_t c = 0; c < last; ++c) row[c] *= scale;
+    float m = row[0];
+    for (std::int64_t c = 1; c < last; ++c) m = std::max(m, row[c]);
+    for (std::int64_t c = 0; c < last; ++c) row[c] -= m;
+  }
+  // One map over every row: short rows (17 tokens) would otherwise pay a
+  // padded tail each, and an element's bits do not depend on its position.
+  fn::exp(p, p, t.numel());
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* row = p + r * last;
+    double z = 0.0;
+    for (std::int64_t c = 0; c < last; ++c) z += row[c];
+    const float inv = static_cast<float>(1.0 / z);
+    for (std::int64_t c = 0; c < last; ++c) row[c] *= inv;
+  }
+}
+
+// dL/dx of y = softmax(scale · x) over the last dim, from y and g = dL/dy.
+tensor softmax_rows_backward(const tensor& g, const tensor& y, float scale) {
+  const std::int64_t last = y.size(-1);
+  const std::int64_t rows = y.numel() / last;
+  tensor gx{y.shape()};
+  auto ps = y.data();
+  auto pg = g.data();
+  auto po = gx.data();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* s = ps.data() + r * last;
+    const float* gr = pg.data() + r * last;
+    float* orow = po.data() + r * last;
+    double dot = 0.0;
+    for (std::int64_t c = 0; c < last; ++c) dot += static_cast<double>(gr[c]) * s[c];
+    for (std::int64_t c = 0; c < last; ++c)
+      orow[c] = s[c] * (gr[c] - static_cast<float>(dot)) * scale;
+  }
+  return gx;
+}
+
 class softmax_lastdim_op final : public op {
 public:
   std::string_view name() const override { return "softmax"; }
 
   tensor forward(std::span<const tensor* const> in) override {
     PELTA_CHECK(in.size() == 1);
-    const tensor& x = *in[0];
-    PELTA_CHECK(x.ndim() >= 1);
-    const std::int64_t last = x.size(-1);
-    const std::int64_t rows = x.numel() / last;
-    tensor out{x.shape()};
-    auto px = x.data();
-    auto po = out.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const float* xr = px.data() + r * last;
-      float* orow = po.data() + r * last;
-      float m = xr[0];
-      for (std::int64_t c = 1; c < last; ++c) m = std::max(m, xr[c]);
-      for (std::int64_t c = 0; c < last; ++c) orow[c] = xr[c] - m;
-    }
-    // One map over every row: short rows (17 tokens) would otherwise pay a
-    // padded tail each, and an element's bits do not depend on its position.
-    fn::exp(po.data(), po.data(), x.numel());
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* orow = po.data() + r * last;
-      double z = 0.0;
-      for (std::int64_t c = 0; c < last; ++c) z += orow[c];
-      const float inv = static_cast<float>(1.0 / z);
-      for (std::int64_t c = 0; c < last; ++c) orow[c] *= inv;
-    }
+    tensor out = *in[0];
+    softmax_rows_(out, 1.0f);
     return out;
   }
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const>,
                                const tensor& out) const override {
-    const std::int64_t last = out.size(-1);
-    const std::int64_t rows = out.numel() / last;
-    tensor gx{out.shape()};
-    auto ps = out.data();
-    auto pg = g.data();
-    auto po = gx.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const float* s = ps.data() + r * last;
-      const float* gr = pg.data() + r * last;
-      float* orow = po.data() + r * last;
-      double dot = 0.0;
-      for (std::int64_t c = 0; c < last; ++c) dot += static_cast<double>(gr[c]) * s[c];
-      for (std::int64_t c = 0; c < last; ++c)
-        orow[c] = s[c] * (gr[c] - static_cast<float>(dot));
-    }
-    return {std::move(gx)};
+    return {softmax_rows_backward(g, out, 1.0f)};
   }
+};
+
+// softmax(scale · q·kᵀ), normalized in the buffer the product was written
+// to: an attention block keeps one [B·H,T,T] tensor, not one each for the
+// raw scores, the scaled scores and the weights.
+class attention_weights_op final : public op {
+public:
+  explicit attention_weights_op(float scale) : scale_{scale} {}
+  std::string_view name() const override { return "attention_weights"; }
+
+  tensor forward(std::span<const tensor* const> in) override {
+    PELTA_CHECK(in.size() == 2);
+    tensor w = ops::bmm_bt(*in[0], *in[1]);
+    softmax_rows_(w, scale_);
+    return w;
+  }
+
+  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
+                               const tensor& out) const override {
+    // d(scores) = scale · softmax'; dq = d(scores) k ; dk = (qᵀ d(scores))ᵀ
+    const tensor gs = softmax_rows_backward(g, out, scale_);
+    return {ops::bmm(gs, *in[1]),
+            ops::transpose_last2(ops::bmm(ops::transpose_last2(*in[0]), gs))};
+  }
+
+private:
+  float scale_;
 };
 
 class log_softmax_lastdim_op final : public op {
@@ -317,6 +353,9 @@ bool affine_params_of(const op& o, float* scale, float* shift) {
 op_ptr make_relu() { return std::make_unique<relu_op>(); }
 op_ptr make_gelu() { return std::make_unique<gelu_op>(); }
 op_ptr make_softmax_lastdim() { return std::make_unique<softmax_lastdim_op>(); }
+op_ptr make_attention_weights(float scale) {
+  return std::make_unique<attention_weights_op>(scale);
+}
 op_ptr make_log_softmax_lastdim() { return std::make_unique<log_softmax_lastdim_op>(); }
 
 }  // namespace pelta::ad

@@ -1,4 +1,5 @@
-// Elementwise and activation ops (factory functions returning op_ptr).
+// Elementwise, activation and softmax ops (factory functions returning
+// op_ptr).
 #pragma once
 
 #include "autodiff/op.h"
@@ -34,8 +35,14 @@ op_ptr make_relu();
 /// GELU with the tanh approximation (as in ViT MLP blocks).
 op_ptr make_gelu();
 
-/// Softmax over the last dimension (attention probabilities).
+/// Softmax over the last dimension.
 op_ptr make_softmax_lastdim();
+
+/// Parents (q [N,T,d], k [N,S,d]) -> softmax(scale · q·kᵀ) over the last
+/// dim, [N,T,S]: the attention weights of every head at once (N = B·H,
+/// scale = 1/√d). Bit-identical to ops::bmm_bt, a scale op and softmax in
+/// sequence, without tensors for the raw and scaled scores.
+op_ptr make_attention_weights(float scale);
 
 /// Log-softmax over the last dimension (classification head).
 op_ptr make_log_softmax_lastdim();

@@ -40,23 +40,6 @@ public:
   }
 };
 
-class bmm_bt_op final : public op {
-public:
-  std::string_view name() const override { return "bmm_bt"; }
-
-  tensor forward(std::span<const tensor* const> in) override {
-    PELTA_CHECK(in.size() == 2);
-    return ops::bmm_bt(*in[0], *in[1]);
-  }
-
-  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
-                               const tensor&) const override {
-    // dA = g B ; dB = (Aᵀ g)ᵀ
-    return {ops::bmm(g, *in[1]),
-            ops::transpose_last2(ops::bmm(ops::transpose_last2(*in[0]), g))};
-  }
-};
-
 class reshape_op final : public op {
 public:
   explicit reshape_op(shape_t s) : new_shape_{std::move(s)} {}
@@ -194,7 +177,6 @@ private:
 
 op_ptr make_matmul() { return std::make_unique<matmul_op>(); }
 op_ptr make_bmm() { return std::make_unique<bmm_op>(); }
-op_ptr make_bmm_bt() { return std::make_unique<bmm_bt_op>(); }
 op_ptr make_reshape(shape_t new_shape) { return std::make_unique<reshape_op>(std::move(new_shape)); }
 
 const shape_t* reshape_shape_of(const op& o) {

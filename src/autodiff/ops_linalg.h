@@ -12,9 +12,6 @@ op_ptr make_matmul();
 /// Batched [B,M,K] x [B,K,N] -> [B,M,N] (attention context P·V).
 op_ptr make_bmm();
 
-/// Batched [B,M,K] x [B,N,K]ᵀ -> [B,M,N] (attention scores Q·Kᵀ).
-op_ptr make_bmm_bt();
-
 /// View with a new shape (numel preserved).
 op_ptr make_reshape(shape_t new_shape);
 

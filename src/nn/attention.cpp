@@ -28,10 +28,8 @@ ad::node_id multi_head_attention::apply(ad::graph& g, ad::node_id x) const {
   const ad::node_id k = split(k_);
   const ad::node_id v = split(v_);
 
-  const ad::node_id scores_raw = g.add_transform(ad::make_bmm_bt(), {q, k});
-  const ad::node_id scores = g.add_transform(ad::make_scale(inv_sqrt_dh), {scores_raw});
   const ad::node_id probs =
-      g.add_transform(ad::make_softmax_lastdim(), {scores}, name_ + ".softmax");
+      g.add_transform(ad::make_attention_weights(inv_sqrt_dh), {q, k}, name_ + ".softmax");
   const ad::node_id context = g.add_transform(ad::make_bmm(), {probs, v});
   return out_.apply(g, g.add_transform(ad::make_merge_heads(heads_), {context}));
 }

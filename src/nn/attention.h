@@ -1,8 +1,8 @@
 // Multi-head self-attention (Vaswani et al.) built from primitive graph ops.
 //
 // All heads run as one chain: split_heads on q, k and v ([B,T,H·dh] ->
-// [B·H,T,dh]), one batched Q·Kᵀ, scale, softmax, one batched ·V, then
-// merge_heads. The attention probability node is tagged "<name>.softmax"
+// [B·H,T,dh]), one attention-weights node softmax(Q·Kᵀ/√dh), one batched ·V,
+// then merge_heads. The attention-weights node is tagged "<name>.softmax"
 // ([B·H,T,T], row b·H+h is head h of image b) so the Self-Attention
 // Gradient Attack (SAGA) can read the attention weight matrices
 // W^(att)_{l,i} of Eq. 4 from a clear (non-shielded) region of the graph.

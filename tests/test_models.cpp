@@ -112,11 +112,7 @@ TEST(Vit, RejectsWrongInputShape) {
 // The heap policy (tensor/scratch.cpp) keeps the memory a forward frees
 // mapped, so the next batch does not page-fault it back in: without it a
 // steady-state batch-32 forward took about 430 minor faults at widths 1
-// and 2. The retained heap takes a few forwards to grow: requests of
-// 128 KiB and more (here the [B·H,T,T] attention scores and the MLP hidden
-// activations) are mmapped until a freed chunk fits them. At width 1 the
-// faults per forward read 1595, 555, 194, 68, then 0 from the fifth on, so
-// four forwards warm up.
+// and 2.
 TEST(Vit, SteadyStateBatchForwardDoesNotPageFault) {
 #if !defined(__GLIBC__)
   GTEST_SKIP() << "the heap policy is a glibc mallopt setting";
@@ -135,7 +131,7 @@ TEST(Vit, SteadyStateBatchForwardDoesNotPageFault) {
   };
   for (const int width : {1, 2}) {
     const concurrency_guard guard{width};
-    for (int i = 0; i < 4; ++i) (void)model->forward(images, ad::norm_mode::eval);
+    for (int i = 0; i < 3; ++i) (void)model->forward(images, ad::norm_mode::eval);
     constexpr int k_forwards = 4;
     const double before = minor_faults();
     for (int i = 0; i < k_forwards; ++i) (void)model->forward(images, ad::norm_mode::eval);

@@ -3,6 +3,7 @@
 // (parameterized suite), for every parent it feeds gradients to.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -90,7 +91,8 @@ std::vector<op_case> all_cases() {
   }
   cases.push_back({"matmul", [] { return make_matmul(); }, {{3, 4}, {4, 2}}, {0, 1}});
   cases.push_back({"bmm", [] { return make_bmm(); }, {{2, 3, 4}, {2, 4, 2}}, {0, 1}});
-  cases.push_back({"bmm_bt", [] { return make_bmm_bt(); }, {{2, 3, 4}, {2, 5, 4}}, {0, 1}});
+  cases.push_back({"attention_weights", [] { return make_attention_weights(0.35f); },
+                   {{2, 3, 4}, {2, 5, 4}}, {0, 1}});
   cases.push_back({"reshape", [] { return make_reshape({6, 2}); }, {{3, 4}}, {0}});
   cases.push_back({"split_heads", [] { return make_split_heads(3); }, {{2, 4, 6}}, {0}});
   cases.push_back({"merge_heads", [] { return make_merge_heads(3); }, {{6, 4, 2}}, {0}});
@@ -210,6 +212,37 @@ TEST(HeadsLayout, RejectsIndivisibleDims) {
   const node_id x = gr.add_input(tensor::zeros({2, 3, 6}));
   EXPECT_THROW(gr.add_transform(make_split_heads(4), {x}), error);   // last dim 6
   EXPECT_THROW(gr.add_transform(make_merge_heads(4), {x}), error);   // leading dim 2
+}
+
+// The attention-weights node replaced a bmm_bt, scale, softmax sequence and
+// must keep its bits, forward and backward.
+TEST(AttentionWeights, MatchesBmmBtScaleSoftmaxBitForBit) {
+  rng g{23};
+  const tensor q0 = tensor::randn(g, {6, 17, 8});
+  const tensor k0 = tensor::randn(g, {6, 17, 8});
+  const tensor seed = tensor::randn(g, {6, 17, 17});
+  const float s = 1.0f / std::sqrt(8.0f);
+  graph fused;
+  const node_id q = fused.add_input(q0);
+  const node_id k = fused.add_input(k0);
+  const node_id w = fused.add_transform(make_attention_weights(s), {q, k});
+  fused.backward_from(w, seed);
+
+  graph soft;  // the softmax node alone, fed the scaled scores
+  const node_id scores = soft.add_input(ops::mul_scalar(ops::bmm_bt(q0, k0), s));
+  const node_id p = soft.add_transform(make_softmax_lastdim(), {scores});
+  soft.backward_from(p, seed);
+  const tensor gs = ops::mul_scalar(soft.adjoint(scores), s);
+
+  const auto same_bits = [](const tensor& a, const tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same_bits(fused.value(w), soft.value(p)));
+  EXPECT_TRUE(same_bits(fused.adjoint(q), ops::bmm(gs, k0)));
+  EXPECT_TRUE(same_bits(fused.adjoint(k),
+                        ops::transpose_last2(ops::bmm(ops::transpose_last2(q0), gs))));
 }
 
 // ---- ops whose state/setup does not fit the generic harness ------------------
