@@ -18,7 +18,14 @@
 // worth of elements; the zero-skip path on a ReLU-sparse A (about half
 // zeros, finite B) for the resnet conv-as-GEMM shapes; and the zero-skip
 // gate's cost on the ViT token_linear shapes (gemm_accumulate against the
-// tier kernel it dispatches to, called directly).
+// tier kernel it dispatches to, called directly); and conv_train, the three
+// conv passes of a training step (forward, backward_input,
+// backward_weight) in microseconds per batch-16 call at every
+// ResNet-56-sim conv shape, as the minimum over repeats of thread CPU time
+// (wall-clock microbenchmarks drift with host load; CPU time of the one
+// thread doing the work does not count the time it is descheduled).
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -140,6 +147,48 @@ struct qresult {
   shape s;
   double fp32_gflops = 0, int8_gflops = 0, speedup = 0;
 };
+
+// One ResNet-56-sim conv (16 px input, stage widths 8/16/32): a 3x3 pad-1
+// conv at stride 1 or 2, or a 1x1 pad-0 stride-2 projection.
+struct conv_shape {
+  const char* name;
+  std::int64_t c, hw, oc, k, stride, pad;
+};
+const conv_shape k_resnet56_convs[] = {
+    {"stem 3->8 @16", 3, 16, 8, 3, 1, 1},
+    {"stage1 8->8 @16", 8, 16, 8, 3, 1, 1},
+    {"stage2 conv1 8->16 @16 s2", 8, 16, 16, 3, 2, 1},
+    {"stage2 proj 8->16 @16 1x1 s2", 8, 16, 16, 1, 2, 0},
+    {"stage2 16->16 @8", 16, 8, 16, 3, 1, 1},
+    {"stage3 conv1 16->32 @8 s2", 16, 8, 32, 3, 2, 1},
+    {"stage3 proj 16->32 @8 1x1 s2", 16, 8, 32, 1, 2, 0},
+    {"stage3 32->32 @4", 32, 4, 32, 3, 1, 1},
+};
+// Images per conv_train call: the larger of fl_round's two SGD steps.
+constexpr std::int64_t k_conv_batch = 16;
+
+struct conv_result {
+  const conv_shape* s;
+  double forward_us = 0, backward_input_us = 0, backward_weight_us = 0;
+};
+
+// Microseconds of this thread's CPU time per call of fn, the minimum over
+// `rounds` windows of `reps` calls.
+template <class Fn>
+double min_thread_cpu_us(int rounds, int reps, const Fn& fn) {
+  const auto now = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
+  };
+  double best = 1e300;
+  for (int r = 0; r < rounds; ++r) {
+    const double t0 = now();
+    for (int i = 0; i < reps; ++i) fn();
+    best = std::min(best, (now() - t0) / reps);
+  }
+  return best;
+}
 
 // Int8 gate, from the kernel tier this run dispatched to (any build): 2x
 // over the blocked fp32 kernel on the avx512 tier, whose vpdpbusd is one
@@ -423,6 +472,34 @@ int main() {
         [](float x) { return std::exp(x); });
   }
 
+  // ---- conv training passes at the ResNet-56-sim shapes (report-only) -------
+  std::printf("\nconv_train, batch %lld, us per call (min thread CPU time):\n",
+              static_cast<long long>(k_conv_batch));
+  std::vector<conv_result> conv_results;
+  {
+    pelta::serial_guard guard;  // the batch loops run inline on this thread
+    rng cg{2031};
+    for (const conv_shape& s : k_resnet56_convs) {
+      const pelta::tensor input = pelta::tensor::randn(cg, {k_conv_batch, s.c, s.hw, s.hw});
+      const pelta::tensor weight = pelta::tensor::randn(cg, {s.oc, s.c, s.k, s.k});
+      const pelta::tensor bias = pelta::tensor::randn(cg, {s.oc});
+      const pelta::tensor out = pelta::ops::conv2d(input, weight, bias, s.stride, s.pad);
+      const pelta::tensor grad = pelta::tensor::randn(cg, out.shape());
+      conv_result r{&s};
+      r.forward_us = min_thread_cpu_us(
+          9, 8, [&] { (void)pelta::ops::conv2d(input, weight, bias, s.stride, s.pad); });
+      r.backward_input_us = min_thread_cpu_us(9, 8, [&] {
+        (void)pelta::ops::conv2d_backward_input(grad, weight, s.stride, s.pad, input.shape());
+      });
+      r.backward_weight_us = min_thread_cpu_us(9, 8, [&] {
+        (void)pelta::ops::conv2d_backward_weight(grad, input, s.stride, s.pad, weight.shape());
+      });
+      conv_results.push_back(r);
+      std::printf("%-30s forward %8.1f   backward_input %8.1f   backward_weight %8.1f\n",
+                  s.name, r.forward_us, r.backward_input_us, r.backward_weight_us);
+    }
+  }
+
   // Scratch-arena steady state: after a warm-up conv2d round trip, further
   // identical calls must perform zero allocations.
   std::size_t steady_allocs = 0;
@@ -531,6 +608,21 @@ int main() {
                       .field("libm_ns_per_element", r.libm_ns)
                       .field("speedup", r.speedup));
     }
+    pelta::bench::json conv_train = pelta::bench::json::array();
+    for (const conv_result& r : conv_results) {
+      conv_train.push(pelta::bench::json::object()
+                          .field("name", r.s->name)
+                          .field("batch", k_conv_batch)
+                          .field("channels", r.s->c)
+                          .field("size", r.s->hw)
+                          .field("out_channels", r.s->oc)
+                          .field("kernel", r.s->k)
+                          .field("stride", r.s->stride)
+                          .field("pad", r.s->pad)
+                          .field("forward_us", r.forward_us)
+                          .field("backward_input_us", r.backward_input_us)
+                          .field("backward_weight_us", r.backward_weight_us));
+    }
     pelta::bench::json::object()
         .field("bench", "kernels")
         .field("threads", 1)
@@ -540,6 +632,7 @@ int main() {
         .field("gate_overhead", gate)
         .field("int8", int8)
         .field("mathfn", mathfn)
+        .field("conv_train", conv_train)
         .field("conv_arena_steady_state_allocations", steady_allocs)
         .field("two_largest_min_speedup", min_large_speedup)
         .field("speedup_threshold", threshold)

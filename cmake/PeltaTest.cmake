@@ -29,8 +29,17 @@ function(pelta_add_test name)
     add_test(NAME ${name} COMMAND ${name})
     set_tests_properties(${name} PROPERTIES LABELS "${ARG_LABEL}" TIMEOUT ${ARG_TIMEOUT})
   else()
+    # The discovery script re-splits its PROPERTIES on every `;`, so a
+    # label list cannot pass through it. A second CTest include, read after
+    # the discovery include has defined ${name}_TESTS, sets the labels.
     gtest_discover_tests(${name}
-      PROPERTIES LABELS "${ARG_LABEL}" TIMEOUT ${ARG_TIMEOUT}
+      PROPERTIES TIMEOUT ${ARG_TIMEOUT}
       DISCOVERY_TIMEOUT 60)
+    set(labels_file "${CMAKE_CURRENT_BINARY_DIR}/${name}_labels.cmake")
+    file(WRITE "${labels_file}"
+      "if(DEFINED ${name}_TESTS)\n"
+      "  set_tests_properties(\${${name}_TESTS} PROPERTIES LABELS \"${ARG_LABEL}\")\n"
+      "endif()\n")
+    set_property(DIRECTORY APPEND PROPERTY TEST_INCLUDE_FILES "${labels_file}")
   endif()
 endfunction()

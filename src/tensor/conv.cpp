@@ -46,19 +46,45 @@ tap_window in_bounds_window(std::int64_t h, std::int64_t w, std::int64_t ky, std
 //
 // Padded-edge handling is fringe-only: the in-bounds output window is
 // solved once per (ky,kx) offset (every channel shares it), the interior is
-// copied branch-free (memcpy at stride 1), and zeros go only to the
-// pad-clipped fringe — instead of a per-element bounds branch over the
-// whole buffer. Output is bit-identical to the branchy form; the gradcheck
-// conv suites cover it.
+// copied branch-free, and zeros go only to the pad-clipped fringe — instead
+// of a per-element bounds branch over the whole buffer.
+//
+// Stride 1 with OW == W (every 3x3 pad-1 conv) takes the plane path: entry
+// (y, x) of row (ci, ky, kx) is plane element y*W + x + (ky-pad)*W + (kx-pad),
+// one fixed flat shift, so the whole in-window span of the row — from
+// (y_lo, x_lo) to (y_hi-1, x_hi-1) — is ONE copy of the plane. Inside that
+// span an out-of-window column (x < x_lo or x >= x_hi) reads the
+// neighbouring image row's edge, which is still inside the plane; those
+// columns and the top and bottom fringe are then overwritten with zeros.
+// The copy starts at the in-range source element (iy_lo, ix_lo), so no
+// pointer before the plane is formed. Every entry ends up holding the same
+// float as the row path writes, so the output is bit-identical.
 void im2col(const float* img, float* cols, std::int64_t c, std::int64_t h, std::int64_t w,
             std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t pad,
             std::int64_t oh, std::int64_t ow) {
   const std::int64_t spatial = oh * ow;
+  const bool plane = stride == 1 && ow == w;
   for (std::int64_t ky = 0; ky < kh; ++ky)
     for (std::int64_t kx = 0; kx < kw; ++kx) {
       const auto [y_lo, y_hi, x_lo, x_hi] = in_bounds_window(h, w, ky, kx, stride, pad, oh, ow);
       for (std::int64_t ci = 0; ci < c; ++ci) {
         float* dst = cols + ((ci * kh + ky) * kw + kx) * spatial;
+        if (plane) {
+          if (y_lo == y_hi || x_lo == x_hi) {  // the tap lies wholly in the padding
+            std::fill(dst, dst + spatial, 0.0f);
+            continue;
+          }
+          const std::int64_t first = y_lo * ow + x_lo, last = (y_hi - 1) * ow + x_hi;
+          const float* src = img + ci * h * w + (y_lo - pad + ky) * w + (x_lo - pad + kx);
+          std::copy(src, src + (last - first), dst + first);
+          std::fill(dst, dst + first, 0.0f);
+          std::fill(dst + last, dst + spatial, 0.0f);
+          for (std::int64_t y = y_lo; y < y_hi; ++y) {
+            std::fill(dst + y * ow, dst + y * ow + x_lo, 0.0f);
+            std::fill(dst + y * ow + x_hi, dst + (y + 1) * ow, 0.0f);
+          }
+          continue;
+        }
         std::fill(dst, dst + y_lo * ow, 0.0f);
         for (std::int64_t y = y_lo; y < y_hi; ++y) {
           const std::int64_t iy = y * stride - pad + ky;
@@ -78,6 +104,43 @@ void im2col(const float* img, float* cols, std::int64_t c, std::int64_t h, std::
         std::fill(dst + y_hi * ow, dst + oh * ow, 0.0f);
       }
     }
+}
+
+// im2row: the transpose of im2col's matrix, [OH*OW, C*KH*KW] — row s is
+// output position s's receptive field in (ci, ky, kx) order. `img` is an
+// unpadded [C,H,W] plane set (a pad > 0 caller passes a zero-bordered
+// staging copy), so every tap is in bounds and the inner loop is a
+// branch-free kw-float copy. KW > 0 fixes that width at compile time, so
+// the copy is KW plain loads and stores; a run-time width pays a loop
+// set-up per kernel row, which made the whole 3x3 im2row about five times
+// slower (x86-64, GCC -O3).
+template <std::int64_t KW>
+void im2row_width(const float* img, float* rows, std::int64_t c, std::int64_t h, std::int64_t w,
+                  std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t oh,
+                  std::int64_t ow) {
+  const std::int64_t width = KW > 0 ? KW : kw;
+  for (std::int64_t y = 0; y < oh; ++y)
+    for (std::int64_t x = 0; x < ow; ++x) {
+      const float* origin = img + y * stride * w + x * stride;
+      for (std::int64_t ci = 0; ci < c; ++ci)
+        for (std::int64_t ky = 0; ky < kh; ++ky, rows += width) {
+          const float* s = origin + (ci * h + ky) * w;
+          for (std::int64_t kx = 0; kx < width; ++kx) rows[kx] = s[kx];
+        }
+    }
+}
+
+// The zoo's widths (1x1 projections, 3x3 convs, the 4-px ViT patch embed)
+// get fixed copies; any other width runs the generic loop.
+void im2row(const float* img, float* rows, std::int64_t c, std::int64_t h, std::int64_t w,
+            std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t oh,
+            std::int64_t ow) {
+  switch (kw) {
+    case 1: return im2row_width<1>(img, rows, c, h, w, kh, kw, stride, oh, ow);
+    case 3: return im2row_width<3>(img, rows, c, h, w, kh, kw, stride, oh, ow);
+    case 4: return im2row_width<4>(img, rows, c, h, w, kh, kw, stride, oh, ow);
+    default: return im2row_width<0>(img, rows, c, h, w, kh, kw, stride, oh, ow);
+  }
 }
 
 // col2im: scatter-add a column matrix back into an image (adjoint of im2col).
@@ -117,7 +180,6 @@ void col2im(const float* cols, float* img, std::int64_t c, std::int64_t h, std::
 
 using detail::finite_cache;
 using detail::gemm_accumulate;
-using detail::gemm_accumulate_bt;
 
 // Below this per-batch flop count the pool submit overhead beats the split.
 constexpr std::int64_t k_conv_parallel_flops = 1 << 15;
@@ -225,12 +287,19 @@ tensor conv2d_backward_weight(const tensor& grad_out, const tensor& input, std::
   const std::int64_t oh = grad_out.size(2), ow = grad_out.size(3);
   PELTA_CHECK(weight_shape[1] == c && grad_out.size(1) == oc);
 
-  // grad_W [OC, C*KH*KW] += grad_out [OC, OH*OW] x colsᵀ [OH*OW, C*KH*KW].
-  // cols itself is exactly the transposed-B layout ([krows, spatial] row-
-  // major = [spatial, krows]ᵀ), so the bt kernel consumes it directly — the
-  // old per-image cols→colsᵀ scatter-transpose is gone.
+  // grad_W [OC, C*KH*KW] += grad_out [OC, OH*OW] x rows [OH*OW, C*KH*KW],
+  // rows being im2row's layout, the transpose of im2col's: the plain GEMM
+  // reads it as B directly, with no per-call transpose-pack. kernels.h
+  // promises gemm_accumulate_bt over cols equals gemm_accumulate over the
+  // materialised [k,n] transpose — same k-order, same zero-skip gate (rows
+  // holds exactly cols' values) — so the bits are those of the bt path.
   const std::int64_t krows = c * kh * kw, spatial = oh * ow;
-  scratch_buffer cols = scratch_arena::local().take(static_cast<std::size_t>(krows * spatial));
+  const std::int64_t ph = h + 2 * pad, pw = w + 2 * pad;
+  scratch_buffer rows = scratch_arena::local().take(static_cast<std::size_t>(spatial * krows));
+  // Zero-bordered staging copy of one image; its border is written once.
+  scratch_buffer padded =
+      scratch_arena::local().take(pad > 0 ? static_cast<std::size_t>(c * ph * pw) : 0);
+  std::fill(padded.data(), padded.data() + padded.size(), 0.0f);
   tensor grad_w{weight_shape};
   const float* go = grad_out.data().data();
   const float* in = input.data().data();
@@ -239,10 +308,18 @@ tensor conv2d_backward_weight(const tensor& grad_out, const tensor& input, std::
   // batch split would change the float summation order with the thread
   // count — breaking the bit-identical-across-PELTA_THREADS guarantee.
   for (std::int64_t n = 0; n < b; ++n) {
-    im2col(in + n * c * h * w, cols.data(), c, h, w, kh, kw, stride, pad, oh, ow);
-    // Per image (each has its own cols); scanned only if grad_out has zeros.
-    finite_cache cols_finite;
-    gemm_accumulate_bt(go + n * oc * spatial, cols.data(), gw, oc, spatial, krows, cols_finite);
+    const float* img = in + n * c * h * w;
+    if (pad > 0) {
+      for (std::int64_t ci = 0; ci < c; ++ci)
+        for (std::int64_t y = 0; y < h; ++y)
+          std::copy(img + (ci * h + y) * w, img + (ci * h + y + 1) * w,
+                    padded.data() + (ci * ph + y + pad) * pw + pad);
+      img = padded.data();
+    }
+    im2row(img, rows.data(), c, ph, pw, kh, kw, stride, oh, ow);
+    // Per image (each has its own rows); scanned only if grad_out has zeros.
+    finite_cache rows_finite;
+    gemm_accumulate(go + n * oc * spatial, rows.data(), gw, oc, spatial, krows, rows_finite);
   }
   return grad_w;
 }
@@ -282,13 +359,17 @@ maxpool_result maxpool2x2(const tensor& input) {
     for (std::int64_t ci = 0; ci < c; ++ci)
       for (std::int64_t y = 0; y < oh; ++y)
         for (std::int64_t x = 0; x < ow; ++x) {
-          float best = -1e30f;
-          std::int64_t best_idx = 0;
+          // Seeded from the window's own first element, so an all -Inf (or
+          // all very negative) window still answers, and routes its
+          // gradient, within itself; the first NaN in a window wins it.
+          std::int64_t best_idx = ((n * c + ci) * h + 2 * y) * w + 2 * x;
+          float best = in[best_idx];
           for (std::int64_t dy = 0; dy < 2; ++dy)
             for (std::int64_t dx = 0; dx < 2; ++dx) {
               const std::int64_t idx = ((n * c + ci) * h + (2 * y + dy)) * w + (2 * x + dx);
-              if (in[idx] > best) {
-                best = in[idx];
+              const float v = in[idx];
+              if (v > best || (std::isnan(v) && !std::isnan(best))) {
+                best = v;
                 best_idx = idx;
               }
             }

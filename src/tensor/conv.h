@@ -1,7 +1,19 @@
 // Convolution and pooling kernels over NCHW tensors.
 //
-// The convolutions lower to im2col + the tiered GEMM (tensor/kernels.h), the
-// input adjoint to a GEMM + col2im; pooling and upsampling are direct loops.
+// The convolutions lower to the tiered GEMM (tensor/kernels.h):
+//   * forward: im2col + GEMM. A stride-1 conv with OW == W (every 3x3
+//     pad-1 conv) fills each im2col row with one shifted copy of the image
+//     plane and then zeroes the out-of-window entries; other geometries
+//     copy row by row.
+//   * input adjoint: GEMM + col2im.
+//   * weight adjoint: im2row (the transpose of im2col's matrix, read from a
+//     zero-bordered staging copy of the image when pad > 0) + the plain
+//     GEMM, so no column matrix is transposed per image. The bits are
+//     those of im2col + gemm_accumulate_bt, which kernels.h promises equal
+//     that GEMM over the materialised transpose.
+// Every path gives the same bits as the element-by-element loops they
+// replaced, on every kernel tier and at every PELTA_THREADS.
+// Pooling and upsampling are direct loops.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -23,7 +35,10 @@ tensor conv2d_backward_weight(const tensor& grad_out, const tensor& input, std::
 tensor conv2d_backward_bias(const tensor& grad_out);
 
 /// 2x2 max pooling with stride 2; also returns flat argmax indices for the
-/// backward pass (same shape as the output).
+/// backward pass (same shape as the output). A window's maximum is seeded
+/// from its own first element, so every window answers from, and routes its
+/// gradient to, one of its own elements (all -Inf included); the first NaN
+/// in a window is its output.
 struct maxpool_result {
   tensor output;
   tensor indices;  // flat index into the input window source, as float

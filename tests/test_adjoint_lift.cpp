@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "attacks/oracle.h"
+#include "fused_madd.h"
 #include "kernel_tiers.h"
 #include "models/mlp.h"
 #include "models/resnet.h"
@@ -175,14 +176,7 @@ std::uint64_t fnv1a(const tensor& t, std::uint64_t h) {
   return h;
 }
 
-// True on a build whose detail::fmadd rounds once (PELTA_FUSED_MADD or an
-// FMA baseline): every forward and backward then has other bits, so each
-// digest is pinned per rounding mode.
-bool fused_madd_build() {
-  volatile float x = 1.0f + 0x1p-12f;
-  const float xx = x * x;
-  return ops::detail::fmadd(x, x, -xx) != 0.0f;
-}
+using testing::fused_madd_build;
 
 std::unique_ptr<models::model> small_model(const std::string& family) {
   if (family == "mlp") {

@@ -20,9 +20,9 @@
 
 #include "attacks/oracle.h"
 #include "autodiff/graph.h"
+#include "fused_madd.h"
 #include "models/vit.h"
 #include "nn/attention.h"
-#include "tensor/kernels.h"
 #include "tensor/parallel.h"
 
 namespace pelta {
@@ -42,14 +42,7 @@ std::uint64_t fnv1a(const tensor& t, std::uint64_t h) {
   return h;
 }
 
-// True on a build whose detail::fmadd rounds once (PELTA_FUSED_MADD or an
-// FMA baseline): every forward and backward then has other bits, so each
-// digest is pinned per rounding mode.
-bool fused_madd_build() {
-  volatile float x = 1.0f + 0x1p-12f;
-  const float xx = x * x;
-  return ops::detail::fmadd(x, x, -xx) != 0.0f;
-}
+using testing::fused_madd_build;
 
 // ViT-B/16-sim's shape (16 px, patch 4, dim 32, MLP 64) at the given heads
 // and depth.

@@ -1,18 +1,31 @@
-// Convolution / pooling kernels, including backward-vs-finite-difference.
+// Convolution / pooling kernels, including backward-vs-finite-difference
+// and bit pins of both conv backward passes against their frozen loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "autodiff/gradcheck.h"
+#include "kernel_tiers.h"
 #include "reference_kernels.h"
 #include "tensor/conv.h"
 #include "tensor/kernels.h"  // detail::fmadd — the accumulation-policy reference
 #include "tensor/ops.h"
+#include "tensor/parallel.h"
 
 namespace pelta {
 namespace {
+
+// Pins PELTA_THREADS=8 (without overriding an explicit environment setting)
+// so the pooled runs of the bit pins really cross threads.
+const bool k_threads_pinned = [] {
+  setenv("PELTA_THREADS", "8", /*overwrite=*/0);
+  return true;
+}();
 
 TEST(Conv2d, IdentityKernelReproducesInput) {
   rng g{1};
@@ -183,6 +196,90 @@ TEST(Conv2d, BackwardInputBitEqualsFrozenCol2im) {
       }
 }
 
+// The per-element branchy im2col that the weight gradient ran on every
+// image, frozen: row (ci, ky, kx) of the [C*KH*KW, OH*OW] column matrix.
+void frozen_im2col(const float* img, float* cols, std::int64_t c, std::int64_t h, std::int64_t w,
+                   std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t pad,
+                   std::int64_t oh, std::int64_t ow) {
+  std::int64_t row = 0;
+  for (std::int64_t ci = 0; ci < c; ++ci)
+    for (std::int64_t ky = 0; ky < kh; ++ky)
+      for (std::int64_t kx = 0; kx < kw; ++kx, ++row)
+        for (std::int64_t y = 0; y < oh; ++y)
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t iy = y * stride - pad + ky, ix = x * stride - pad + kx;
+            cols[row * oh * ow + y * ow + x] =
+                (iy < 0 || iy >= h || ix < 0 || ix >= w) ? 0.0f : img[(ci * h + iy) * w + ix];
+          }
+}
+
+// conv2d_backward_weight == the per-image loop it replaced, bit for bit:
+// frozen im2col, then grad_out x colsᵀ through the frozen transposed-B
+// reference GEMM (the contract gemm_accumulate_bt keeps), accumulating
+// every image into one grad_w. Zeros planted in grad_out open the GEMM's
+// zero-skip gate; a NaN or Inf pixel in the image closes it wherever a tap
+// reads that pixel. Every kernel tier, serial and at the pool width, over
+// the stride x pad x kernel x size grid of the col2im pin plus a kh != kw
+// kernel.
+TEST(Conv2d, BackwardWeightBitEqualsFrozenBtPath) {
+  rng g{13};
+  const std::int64_t b = 2, c = 2, oc = 3;
+  struct geometry {
+    std::int64_t stride, pad, kh, kw, h, w;
+  };
+  std::vector<geometry> grid;
+  for (const std::int64_t stride : {1, 2, 3})
+    for (const std::int64_t pad : {0, 1, 2})
+      for (const std::int64_t k : {1, 2, 3, 5}) {
+        const std::int64_t smallest = std::max<std::int64_t>(1, k - 2 * pad);
+        for (const std::int64_t h : {smallest, smallest + 1, smallest + stride, std::int64_t{9}})
+          for (const std::int64_t w : {smallest, std::int64_t{8}})
+            grid.push_back({stride, pad, k, k, h, w});
+      }
+  grid.push_back({1, 1, 3, 1, 6, 7});
+  grid.push_back({2, 1, 2, 5, 7, 9});
+
+  const float poisons[] = {0.0f, std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity()};
+  testing::for_each_tier([&](const ops::detail::kernel_table& tier) {
+    for (const geometry& gm : grid)
+      for (const float poison : poisons) {
+        const std::int64_t oh = (gm.h + 2 * gm.pad - gm.kh) / gm.stride + 1;
+        const std::int64_t ow = (gm.w + 2 * gm.pad - gm.kw) / gm.stride + 1;
+        tensor input = tensor::randn(g, {b, c, gm.h, gm.w});
+        if (poison != 0.0f) input[input.numel() / 2] = poison;  // one pixel of image 1
+        tensor grad_out = tensor::randn(g, {b, oc, oh, ow});
+        for (std::int64_t i = 0; i < grad_out.numel(); i += 3) grad_out[i] = 0.0f;
+
+        const std::int64_t krows = c * gm.kh * gm.kw, spatial = oh * ow;
+        tensor want{shape_t{oc, c, gm.kh, gm.kw}};
+        std::vector<float> cols(static_cast<std::size_t>(krows * spatial)), bt_storage;
+        for (std::int64_t n = 0; n < b; ++n) {
+          frozen_im2col(input.data().data() + n * c * gm.h * gm.w, cols.data(), c, gm.h, gm.w,
+                        gm.kh, gm.kw, gm.stride, gm.pad, oh, ow);
+          ops::reference::reference_gemm_bt(grad_out.data().data() + n * oc * spatial,
+                                            cols.data(), want.data().data(), oc, spatial, krows,
+                                            bt_storage);
+        }
+        const auto check = [&](const char* width) {
+          const tensor got = ops::conv2d_backward_weight(grad_out, input, gm.stride, gm.pad,
+                                                         want.shape());
+          ASSERT_EQ(0, std::memcmp(got.data().data(), want.data().data(),
+                                   static_cast<std::size_t>(want.numel()) * sizeof(float)))
+              << tier.name << " " << width << " stride=" << gm.stride << " pad=" << gm.pad
+              << " k=" << gm.kh << "x" << gm.kw << " h=" << gm.h << " w=" << gm.w
+              << " poison=" << poison;
+        };
+        {
+          serial_guard guard;
+          check("serial");
+        }
+        check("pooled");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+  });
+}
+
 // The transposed convolution the shielded oracle lifts adjoints with runs
 // on two kernels: conv2d_backward_input when the stride equals the kernel
 // (pad 0), conv2d over reference::flip_kernel at stride 1. The frozen
@@ -265,6 +362,35 @@ TEST(MaxPool, BackwardRoutesToArgmax) {
   tensor gi = ops::maxpool2x2_backward(go, r.indices, x.shape());
   EXPECT_FLOAT_EQ(gi[0], 0.0f);
   EXPECT_FLOAT_EQ(gi[1], 2.0f);
+}
+
+// Windows with no element above -1e30 (all -Inf, all NaN, all at -3e38)
+// still output their own maximum and route their gradient to one of their
+// own elements; a NaN anywhere in a window reaches the output.
+TEST(MaxPool, NonFiniteWindowsStayInTheirWindow) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Two images [1, 4, 2]: windows hold columns {0,1} and {2,3} of both rows.
+  const tensor x{{2, 1, 2, 4},
+                 {1.0f, 2.0f, -3e38f, -2e38f,  // image 0: finite | at -3e38 and -2e38
+                  3.0f, nan, -3e38f, -3e38f,   //          NaN in a finite window
+                  -inf, -inf, nan, nan,        // image 1: all -Inf | all NaN
+                  -inf, -inf, nan, nan}};
+  const auto r = ops::maxpool2x2(x);
+  ASSERT_EQ(r.output.shape(), (shape_t{2, 1, 1, 2}));
+  EXPECT_TRUE(std::isnan(r.output[0]));
+  EXPECT_EQ(r.indices[0], 5.0f);
+  EXPECT_EQ(r.output[1], -2e38f);
+  EXPECT_EQ(r.indices[1], 3.0f);
+  EXPECT_EQ(r.output[2], -inf);
+  EXPECT_EQ(r.indices[2], 8.0f);
+  EXPECT_TRUE(std::isnan(r.output[3]));
+  EXPECT_EQ(r.indices[3], 10.0f);
+
+  const tensor go{{2, 1, 1, 2}, {1.0f, 2.0f, 3.0f, 4.0f}};
+  const tensor gi = ops::maxpool2x2_backward(go, r.indices, x.shape());
+  const float want[] = {0, 0, 0, 2, 0, 1, 0, 0, 3, 0, 4, 0, 0, 0, 0, 0};
+  for (std::int64_t i = 0; i < gi.numel(); ++i) EXPECT_EQ(gi[i], want[i]) << "i=" << i;
 }
 
 TEST(MaxPool, OddSpatialThrows) {

@@ -510,19 +510,30 @@ tensor reference_conv2d(const tensor& input, const tensor& weight, const tensor&
 
 // Covers the fringe-only zero-fill in im2col: strides and paddings that
 // clip every edge (including pad >= kernel, whose first/last taps are
-// entirely out of bounds).
+// entirely out of bounds), and the stride-1 `ow == w` plane copy: a
+// kernel taller than wide (oh != h), a one-row kernel whose pad covers
+// whole taps (pad >= kh), and NaN pixels on both edge columns, which the
+// shifted copy wraps onto the other edge's masked columns (a NaN output
+// must come only from a tap that really reads the NaN).
 TEST(Im2col, FringeFillMatchesDirectConvolution) {
   rng gen{61};
   struct case_t {
     std::int64_t c, h, w, oc, kh, kw, stride, pad;
+    bool nan_edges = false;
   };
   const case_t cases[] = {
       {1, 5, 5, 2, 3, 3, 1, 0}, {2, 6, 6, 3, 3, 3, 1, 1}, {2, 7, 5, 3, 3, 3, 2, 1},
       {1, 8, 8, 2, 5, 5, 1, 2}, {2, 9, 7, 2, 3, 3, 3, 2}, {1, 6, 6, 2, 3, 3, 1, 3},
       {2, 5, 5, 2, 1, 1, 1, 0}, {1, 7, 7, 2, 3, 1, 2, 1}, {1, 4, 4, 1, 4, 4, 4, 2},
+      {2, 7, 6, 2, 5, 3, 1, 1}, {1, 5, 6, 2, 1, 3, 1, 1}, {2, 1, 5, 2, 1, 5, 1, 2},
+      {2, 6, 6, 3, 3, 3, 1, 1, true}, {1, 5, 7, 2, 5, 5, 1, 2, true},
   };
   for (const case_t& cs : cases) {
     tensor input = tensor::randn(gen, {2, cs.c, cs.h, cs.w});
+    if (cs.nan_edges) {
+      input.at(0, 0, cs.h / 2, cs.w - 1) = std::numeric_limits<float>::quiet_NaN();
+      input.at(1, cs.c - 1, cs.h / 2, 0) = std::numeric_limits<float>::quiet_NaN();
+    }
     tensor weight = tensor::randn(gen, {cs.oc, cs.c, cs.kh, cs.kw});
     tensor bias = tensor::rand_uniform(gen, {cs.oc}, 0.1f, 0.9f);
     tensor got = ops::conv2d(input, weight, bias, cs.stride, cs.pad);
@@ -531,25 +542,35 @@ TEST(Im2col, FringeFillMatchesDirectConvolution) {
     auto pg = got.data();
     auto pw = want.data();
     for (std::size_t i = 0; i < pg.size(); ++i)
-      ASSERT_EQ(pg[i], pw[i]) << "stride=" << cs.stride << " pad=" << cs.pad << " i=" << i;
+      ASSERT_TRUE(pg[i] == pw[i] || (std::isnan(pg[i]) && std::isnan(pw[i])))
+          << "stride=" << cs.stride << " pad=" << cs.pad << " k=" << cs.kh << "x" << cs.kw
+          << " i=" << i << ": " << pg[i] << " vs " << pw[i];
   }
 }
 
 // Satellite: steady state performs zero allocations — the second identical
 // conv2d call sequence must not grow any arena. Forced serial so every
 // checkout lands on this thread's arena, where the accessors can see it.
+// Three geometries: 3x3 stride 1 and stride 2 (pad 1), and the 1x1
+// stride-2 pad-0 projection.
 TEST(ScratchArena, SecondConvCallAllocatesNothing) {
   serial_guard guard;
   rng gen{67};
   tensor input = tensor::randn(gen, {2, 3, 12, 12});
   tensor weight = tensor::randn(gen, {8, 3, 3, 3});
+  tensor proj = tensor::randn(gen, {8, 3, 1, 1});
   tensor bias = tensor::rand_uniform(gen, {8}, -0.1f, 0.1f);
 
-  const auto run_once = [&] {
-    tensor out = ops::conv2d(input, weight, bias, 1, 1);
+  const auto round_trip = [&](const tensor& w, std::int64_t stride, std::int64_t pad) {
+    tensor out = ops::conv2d(input, w, bias, stride, pad);
     tensor grad_out = tensor::ones(out.shape());
-    ops::conv2d_backward_input(grad_out, weight, 1, 1, input.shape());
-    ops::conv2d_backward_weight(grad_out, input, 1, 1, weight.shape());
+    ops::conv2d_backward_input(grad_out, w, stride, pad, input.shape());
+    ops::conv2d_backward_weight(grad_out, input, stride, pad, w.shape());
+  };
+  const auto run_once = [&] {
+    round_trip(weight, 1, 1);
+    round_trip(weight, 2, 1);
+    round_trip(proj, 2, 0);
   };
 
   run_once();

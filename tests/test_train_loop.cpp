@@ -2,23 +2,30 @@
 // golden regressions pinning every caller — train_model, the honest FL
 // client, the backdoor and evasion-poisoning clients and the BPDA
 // surrogate — to the exact parameter and batch-norm bytes their separate
-// pre-fold loops produced (reimplemented here, verbatim, as references).
+// pre-fold loops produced (reimplemented here, verbatim, as references);
+// and digests of a ResNet-56-sim client's updates, which pin the conv
+// kernels' bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "attacks/bpda.h"
 #include "attacks/iterative.h"
 #include "fl/poisoning.h"
+#include "fused_madd.h"
 #include "models/checkpoint.h"
 #include "models/mlp.h"
 #include "models/trainer.h"
 #include "models/vit.h"
 #include "models/zoo.h"
 #include "nn/optimizer.h"
+#include "tee/sealing.h"
+#include "tensor/parallel.h"
 
 namespace pelta {
 namespace {
@@ -371,6 +378,48 @@ TEST(TrainLoop, HonestClientMatchesThePreFoldLoop) {
     ASSERT_EQ(update.parameters, models::save_state(*reference)) << "round " << round;
     global = update.parameters;
   }
+}
+
+using testing::fused_madd_build;
+
+// The honest-client case above replays the client loop through the same
+// conv kernels, so it cannot see those kernels change a bit. These FNV-1a
+// digests of update.parameters after each of two ResNet-56-sim
+// local_update rounds (one shard, the client's default) can: they were
+// captured from the per-image im2col + gemm_accumulate_bt weight gradient
+// and the row-wise im2col, on the unfused and the fused build. Conv batch
+// splits are bit-identical, so the serial and pooled runs share a digest.
+TEST(TrainLoop, ResNet56SimClientMatchesPinnedDigests) {
+  struct golden {
+    std::uint64_t unfused, fused;
+  };
+  const golden k_rounds[] = {
+      {0x80415cc7ec078c1aull, 0xa525a7a6eadb1a30ull},
+      {0x12fce1f91afcbbeaull, 0xd197e0f8dd023017ull},
+  };
+  const bool fused = fused_madd_build();
+  const auto run = [&](const std::string& width) {
+    const data::dataset ds = tiny_dataset();
+    fl::fl_client client{3, models::make_resnet56_sim(tiny_task()), shard_of(4, 18), ds};
+    fl::local_train_config lc;
+    lc.epochs = 2;
+    lc.batch_size = 8;
+    byte_buffer global = models::save_state(*models::make_resnet56_sim(tiny_task()));
+    for (std::size_t round = 0; round < 2; ++round) {
+      client.receive_global(global);
+      global = client.local_update(lc).parameters;
+      const std::uint64_t got = tee::fnv1a(global.data(), global.size());
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016llxull", static_cast<unsigned long long>(got));
+      EXPECT_EQ(got, fused ? k_rounds[round].fused : k_rounds[round].unfused)
+          << "round " << round << " " << width << (fused ? " fused" : " unfused") << ": " << hex;
+    }
+  };
+  {
+    serial_guard guard;
+    run("PELTA_THREADS=1");
+  }
+  run("PELTA_THREADS=" + std::to_string(parallel_thread_count()));
 }
 
 TEST(TrainLoop, BackdoorClientMatchesThePreFoldLoop) {
