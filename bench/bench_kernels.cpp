@@ -149,12 +149,14 @@ struct qresult {
 };
 
 // One ResNet-56-sim conv (16 px input, stage widths 8/16/32): a 3x3 pad-1
-// conv at stride 1 or 2, or a 1x1 pad-0 stride-2 projection.
+// conv at stride 1 or 2, or a 1x1 pad-0 stride-2 projection. The first row
+// is the 3x3 box blur of the input filter, which the ViTs apply too.
 struct conv_shape {
   const char* name;
   std::int64_t c, hw, oc, k, stride, pad;
 };
 const conv_shape k_resnet56_convs[] = {
+    {"box blur 3->3 @16", 3, 16, 3, 3, 1, 1},
     {"stem 3->8 @16", 3, 16, 8, 3, 1, 1},
     {"stage1 8->8 @16", 8, 16, 8, 3, 1, 1},
     {"stage2 conv1 8->16 @16 s2", 8, 16, 16, 3, 2, 1},

@@ -130,15 +130,14 @@ void im2row_width(const float* img, float* rows, std::int64_t c, std::int64_t h,
     }
 }
 
-// The zoo's widths (1x1 projections, 3x3 convs, the 4-px ViT patch embed)
-// get fixed copies; any other width runs the generic loop.
+// The zoo's conv widths (ResNet's 1x1 projections, its 3x3 convs and the
+// 3x3 box blur) get fixed copies; any other width runs the generic loop.
 void im2row(const float* img, float* rows, std::int64_t c, std::int64_t h, std::int64_t w,
             std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t oh,
             std::int64_t ow) {
   switch (kw) {
     case 1: return im2row_width<1>(img, rows, c, h, w, kh, kw, stride, oh, ow);
     case 3: return im2row_width<3>(img, rows, c, h, w, kh, kw, stride, oh, ow);
-    case 4: return im2row_width<4>(img, rows, c, h, w, kh, kw, stride, oh, ow);
     default: return im2row_width<0>(img, rows, c, h, w, kh, kw, stride, oh, ow);
   }
 }
