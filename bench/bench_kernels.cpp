@@ -17,7 +17,7 @@
 // against libm's std::tanh / std::exp over one batch-32 ViT-B/16-sim GELU's
 // worth of elements; the zero-skip path on a ReLU-sparse A (about half
 // zeros, finite B) for the resnet conv-as-GEMM shapes; and the zero-skip
-// gate's cost on the ViT token_linear shapes (gemm_accumulate against the
+// gate's cost on the ViT per-token linear shapes (gemm_accumulate against the
 // tier kernel it dispatches to, called directly); and conv_train, the three
 // conv passes of a training step (forward, backward_input,
 // backward_weight) in microseconds per batch-16 call at every
@@ -76,7 +76,9 @@ const shape k_shapes[] = {
     {"bit.block 192->192 @16x16", 192, 1728, 256},
     {"bit.block 256->256 @16x16", 256, 2304, 256},
     // ViT-B/16-sim's own GEMMs (dim 32, 4 heads, 17 tokens). Report-only:
-    // far below the two largest shapes, so they never reach the gates.
+    // far below the two largest shapes, so they never reach the gates. The
+    // vit.token_linear rows are the per-token linear projection; their keys
+    // stay fixed so the BENCH_kernels.json trajectory still diffs.
     {"vit.token_linear batch 32", 544, 32, 32},
     {"vit.token_linear batch 1", 17, 32, 32},
     {"vit.fc1 batch 32", 544, 32, 64},

@@ -125,68 +125,6 @@ private:
   std::int64_t ps_;
 };
 
-// [B,T,P] x [P,D] (+b) -> [B,T,D]: the token rows are already a contiguous
-// [B*T, P] matrix, so the GEMMs run on the tensors' storage directly.
-class token_linear_op final : public op {
-public:
-  explicit token_linear_op(bool with_bias) : with_bias_{with_bias} {}
-  std::string_view name() const override { return "token_linear"; }
-
-  tensor forward(std::span<const tensor* const> in) override {
-    PELTA_CHECK(in.size() == (with_bias_ ? 3u : 2u));
-    const tensor& x = *in[0];
-    const tensor& w = *in[1];
-    PELTA_CHECK_MSG(x.ndim() == 3 && w.ndim() == 2 && x.size(2) == w.size(0),
-                    "token_linear shapes " << to_string(x.shape()) << " x " << to_string(w.shape()));
-    const std::int64_t rows = x.size(0) * x.size(1), d = w.size(1);
-    tensor out{shape_t{x.size(0), x.size(1), d}};
-    float* po = out.data().data();
-    ops::matmul_accumulate(x.data().data(), w.data().data(), po, rows, x.size(2), d);
-    if (with_bias_) {
-      // After the GEMM, never as its accumulation base: x·w + b rounds
-      // differently from b + x·w.
-      const tensor& bias = *in[2];
-      PELTA_CHECK(bias.numel() == d);
-      const float* pb = bias.data().data();
-      for (std::int64_t r = 0; r < rows; ++r, po += d)
-        for (std::int64_t c = 0; c < d; ++c) po[c] += pb[c];
-    }
-    return out;
-  }
-
-  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
-                               const tensor&) const override {
-    const tensor& x = *in[0];
-    const tensor& w = *in[1];
-    const std::int64_t rows = x.size(0) * x.size(1), p = x.size(2), d = w.size(1);
-    PELTA_CHECK(g.numel() == rows * d);
-    const float* pg = g.data().data();
-    std::vector<tensor> grads;
-    // dX = g wᵀ, against w's own [P, D] storage.
-    tensor gx{x.shape()};
-    ops::matmul_accumulate(pg, w.data().data(), gx.data().data(), rows, d, p,
-                           /*b_transposed=*/true);
-    grads.push_back(std::move(gx));
-    // dW = xᵀ g.
-    tensor xt{shape_t{p, rows}};
-    ops::transpose_into(x.data().data(), xt.data().data(), rows, p);
-    tensor gw{w.shape()};
-    ops::matmul_accumulate(xt.data().data(), pg, gw.data().data(), p, rows, d);
-    grads.push_back(std::move(gw));
-    if (with_bias_) {
-      tensor gb{shape_t{d}};
-      float* pgb = gb.data().data();
-      for (std::int64_t r = 0; r < rows; ++r, pg += d)
-        for (std::int64_t c = 0; c < d; ++c) pgb[c] += pg[c];
-      grads.push_back(std::move(gb));
-    }
-    return grads;
-  }
-
-private:
-  bool with_bias_;
-};
-
 }  // namespace
 
 op_ptr make_conv2d(std::int64_t stride, std::int64_t pad, bool with_bias) {
@@ -203,6 +141,5 @@ bool conv2d_geometry_of(const op& o, std::int64_t* stride, std::int64_t* pad) {
 op_ptr make_maxpool2x2() { return std::make_unique<maxpool_op>(); }
 op_ptr make_global_avgpool() { return std::make_unique<global_avgpool_op>(); }
 op_ptr make_patchify(std::int64_t patch_size) { return std::make_unique<patchify_op>(patch_size); }
-op_ptr make_token_linear(bool with_bias) { return std::make_unique<token_linear_op>(with_bias); }
 
 }  // namespace pelta::ad

@@ -25,9 +25,4 @@ op_ptr make_global_avgpool();
 /// patches of P = C*ps*ps features, row-major patch order. Parent: (x).
 op_ptr make_patchify(std::int64_t patch_size);
 
-/// Per-token linear map: [B,T,P] x [P,D] (+ [D]) -> [B,T,D]. Parents:
-/// (x, W) or (x, W, b). Used for the ViT embedding projection E and the
-/// q/k/v/output projections.
-op_ptr make_token_linear(bool with_bias);
-
 }  // namespace pelta::ad

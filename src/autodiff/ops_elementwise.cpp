@@ -84,8 +84,6 @@ public:
   explicit scale_op(float s) : s_{s} {}
   std::string_view name() const override { return "scale"; }
 
-  float factor() const { return s_; }
-
   tensor forward(std::span<const tensor* const> in) override {
     PELTA_CHECK(in.size() == 1);
     return ops::mul_scalar(*in[0], s_);
@@ -335,13 +333,6 @@ op_ptr make_add_broadcast() { return std::make_unique<add_broadcast_op>(); }
 op_ptr make_mul() { return std::make_unique<mul_op>(); }
 op_ptr make_scale(float s) { return std::make_unique<scale_op>(s); }
 op_ptr make_affine(float scale, float shift) { return std::make_unique<affine_op>(scale, shift); }
-
-bool scale_params_of(const op& o, float* s) {
-  const auto* p = dynamic_cast<const scale_op*>(&o);
-  if (p == nullptr) return false;
-  *s = p->factor();
-  return true;
-}
 
 bool affine_params_of(const op& o, float* scale, float* shift) {
   const auto* p = dynamic_cast<const affine_op*>(&o);

@@ -24,10 +24,9 @@ op_ptr make_scale(float s);
 op_ptr make_affine(float scale, float shift);
 
 /// Introspection for the quantizing compile pass (nn/compile): recover the
-/// fixed scalars of a scale/affine op instance (the classes live in this
-/// TU's anonymous namespace). Return false for any other op.
-bool scale_params_of(const op& o, float* s);
-/// True for an affine op; *scale and *shift satisfy y = scale * (x + shift).
+/// fixed scalars of an affine op instance (the class lives in this TU's
+/// anonymous namespace). True for an affine op, with y = scale * (x +
+/// shift); false for any other op.
 bool affine_params_of(const op& o, float* scale, float* shift);
 
 op_ptr make_relu();

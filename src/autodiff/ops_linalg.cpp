@@ -8,20 +8,74 @@ namespace pelta::ad {
 
 namespace {
 
-class matmul_op final : public op {
+// Rows of x viewed as a [rows, In] matrix: the product of its leading dims.
+std::int64_t rows_of(const tensor& x) {
+  return numel_of(shape_t(x.shape().begin(), x.shape().end() - 1));
+}
+
+// x [..., In] x W [In, Out] (+ b [Out]) -> [..., Out]: every leading dim
+// folds into the rows of one contiguous [rows, In] matrix, so the GEMMs run
+// on the tensors' storage directly, whatever the input's rank.
+class linear_op final : public op {
 public:
-  std::string_view name() const override { return "matmul"; }
+  explicit linear_op(bool with_bias) : with_bias_{with_bias} {}
+  std::string_view name() const override { return "linear"; }
 
   tensor forward(std::span<const tensor* const> in) override {
-    PELTA_CHECK(in.size() == 2);
-    return ops::matmul(*in[0], *in[1]);
+    PELTA_CHECK(in.size() == (with_bias_ ? 3u : 2u));
+    const tensor& x = *in[0];
+    const tensor& w = *in[1];
+    PELTA_CHECK_MSG(x.ndim() >= 1 && w.ndim() == 2 && x.size(x.ndim() - 1) == w.size(0),
+                    "linear shapes " << to_string(x.shape()) << " x " << to_string(w.shape()));
+    const std::int64_t d = w.size(1), rows = rows_of(x);
+    shape_t out_shape = x.shape();
+    out_shape.back() = d;
+    tensor out{out_shape};
+    float* po = out.data().data();
+    ops::matmul_accumulate(x.data().data(), w.data().data(), po, rows, w.size(0), d);
+    if (with_bias_) {
+      // After the GEMM, never as its accumulation base: x·w + b rounds
+      // differently from b + x·w.
+      const tensor& bias = *in[2];
+      PELTA_CHECK(bias.numel() == d);
+      const float* pb = bias.data().data();
+      for (std::int64_t r = 0; r < rows; ++r, po += d)
+        for (std::int64_t c = 0; c < d; ++c) po[c] += pb[c];
+    }
+    return out;
   }
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
                                const tensor&) const override {
-    // dA = g Bᵀ ; dB = Aᵀ g
-    return {ops::matmul(g, ops::transpose2d(*in[1])), ops::matmul(ops::transpose2d(*in[0]), g)};
+    const tensor& x = *in[0];
+    const tensor& w = *in[1];
+    const std::int64_t p = w.size(0), d = w.size(1), rows = rows_of(x);
+    PELTA_CHECK(g.numel() == rows * d);
+    const float* pg = g.data().data();
+    std::vector<tensor> grads;
+    // dX = g wᵀ, against w's own [In, Out] storage.
+    tensor gx{x.shape()};
+    ops::matmul_accumulate(pg, w.data().data(), gx.data().data(), rows, d, p,
+                           /*b_transposed=*/true);
+    grads.push_back(std::move(gx));
+    // dW = xᵀ g.
+    tensor xt{shape_t{p, rows}};
+    ops::transpose_into(x.data().data(), xt.data().data(), rows, p);
+    tensor gw{w.shape()};
+    ops::matmul_accumulate(xt.data().data(), pg, gw.data().data(), p, rows, d);
+    grads.push_back(std::move(gw));
+    if (with_bias_) {
+      tensor gb{shape_t{d}};
+      float* pgb = gb.data().data();
+      for (std::int64_t r = 0; r < rows; ++r, pg += d)
+        for (std::int64_t c = 0; c < d; ++c) pgb[c] += pg[c];
+      grads.push_back(std::move(gb));
+    }
+    return grads;
   }
+
+private:
+  bool with_bias_;
 };
 
 class bmm_op final : public op {
@@ -175,7 +229,7 @@ private:
 
 }  // namespace
 
-op_ptr make_matmul() { return std::make_unique<matmul_op>(); }
+op_ptr make_linear(bool with_bias) { return std::make_unique<linear_op>(with_bias); }
 op_ptr make_bmm() { return std::make_unique<bmm_op>(); }
 op_ptr make_reshape(shape_t new_shape) { return std::make_unique<reshape_op>(std::move(new_shape)); }
 

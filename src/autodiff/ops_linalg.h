@@ -6,8 +6,11 @@
 
 namespace pelta::ad {
 
-/// [M,K] x [K,N] -> [M,N].
-op_ptr make_matmul();
+/// Dense layer over any leading rank: (x [..., In], W [In,Out], b [Out])
+/// -> [..., Out]; parents (x, W) or (x, W, b). One op serves every dense
+/// projection: classifier heads on [B,In], and the ViT patch embedding E and
+/// q/k/v/output/MLP projections on tokens [B,T,In].
+op_ptr make_linear(bool with_bias);
 
 /// Batched [B,M,K] x [B,K,N] -> [B,M,N] (attention context P·V).
 op_ptr make_bmm();

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "tensor/mathfn.h"
-#include "tensor/ops.h"
 
 namespace pelta::ad {
 
@@ -63,50 +62,8 @@ private:
   tensor softmax_;
 };
 
-class linear_op final : public op {
-public:
-  explicit linear_op(bool with_bias) : with_bias_{with_bias} {}
-  std::string_view name() const override { return "linear"; }
-
-  tensor forward(std::span<const tensor* const> in) override {
-    PELTA_CHECK(in.size() == (with_bias_ ? 3u : 2u));
-    const tensor& x = *in[0];
-    const tensor& w = *in[1];
-    PELTA_CHECK_MSG(x.ndim() == 2 && w.ndim() == 2 && x.size(1) == w.size(0),
-                    "linear shapes " << to_string(x.shape()) << " x " << to_string(w.shape()));
-    tensor out = ops::matmul(x, w);
-    if (with_bias_) {
-      const tensor& bias = *in[2];
-      PELTA_CHECK(bias.numel() == w.size(1));
-      for (std::int64_t r = 0; r < out.size(0); ++r)
-        for (std::int64_t c = 0; c < out.size(1); ++c) out.at(r, c) += bias[c];
-    }
-    return out;
-  }
-
-  std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
-                               const tensor&) const override {
-    const tensor& x = *in[0];
-    const tensor& w = *in[1];
-    std::vector<tensor> grads;
-    grads.push_back(ops::matmul(g, ops::transpose2d(w)));
-    grads.push_back(ops::matmul(ops::transpose2d(x), g));
-    if (with_bias_) {
-      tensor gb{shape_t{w.size(1)}};
-      for (std::int64_t r = 0; r < g.size(0); ++r)
-        for (std::int64_t c = 0; c < g.size(1); ++c) gb[c] += g.at(r, c);
-      grads.push_back(std::move(gb));
-    }
-    return grads;
-  }
-
-private:
-  bool with_bias_;
-};
-
 }  // namespace
 
 op_ptr make_cross_entropy() { return std::make_unique<cross_entropy_op>(); }
-op_ptr make_linear(bool with_bias) { return std::make_unique<linear_op>(with_bias); }
 
 }  // namespace pelta::ad

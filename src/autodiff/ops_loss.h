@@ -10,8 +10,4 @@ namespace pelta::ad {
 /// Output: scalar. Labels receive a zero gradient (they are constants).
 op_ptr make_cross_entropy();
 
-/// Linear (dense) layer for 2-d activations: (x [B,In], W [In,Out], b [Out])
-/// -> [B,Out]. Kept here with the loss to round out the classifier head.
-op_ptr make_linear(bool with_bias);
-
 }  // namespace pelta::ad

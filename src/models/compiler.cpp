@@ -7,7 +7,6 @@
 #include "autodiff/ops_conv.h"
 #include "autodiff/ops_elementwise.h"
 #include "autodiff/ops_linalg.h"
-#include "autodiff/ops_loss.h"
 #include "tensor/quantized_tensor.h"
 
 namespace pelta::models {
@@ -168,21 +167,12 @@ forward_pass quantized_model::forward(const tensor& images, ad::norm_mode mode) 
       case nn::step_kind::affine:
         x = fp.graph.add_transform(ad::make_affine(st.scale, st.shift), std::move(parents), st.tag);
         break;
-      case nn::step_kind::scale:
-        x = fp.graph.add_transform(ad::make_scale(st.scale), std::move(parents), st.tag);
-        break;
       case nn::step_kind::relu:
         x = fp.graph.add_transform(ad::make_relu(), std::move(parents), st.tag);
         break;
       case nn::step_kind::linear:
         x = fp.graph.add_transform(ad::make_linear(rs.params.size() > 1), std::move(parents),
                                    st.tag);
-        break;
-      case nn::step_kind::matmul:
-        x = fp.graph.add_transform(ad::make_matmul(), std::move(parents), st.tag);
-        break;
-      case nn::step_kind::add_broadcast:
-        x = fp.graph.add_transform(ad::make_add_broadcast(), std::move(parents), st.tag);
         break;
       case nn::step_kind::conv2d:
         x = fp.graph.add_transform(ad::make_conv2d(st.stride, st.pad, rs.params.size() > 1),
@@ -192,9 +182,6 @@ forward_pass quantized_model::forward(const tensor& images, ad::norm_mode mode) 
         x = fp.graph.add_transform(
             ad::make_batchnorm2d(rs.stats, ad::norm_mode::eval, 0.1f, st.bn_eps),
             std::move(parents), st.tag);
-        break;
-      case nn::step_kind::maxpool2x2:
-        x = fp.graph.add_transform(ad::make_maxpool2x2(), std::move(parents), st.tag);
         break;
       case nn::step_kind::global_avgpool:
         x = fp.graph.add_transform(ad::make_global_avgpool(), std::move(parents), st.tag);

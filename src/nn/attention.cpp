@@ -21,7 +21,7 @@ multi_head_attention::multi_head_attention(param_store& store, rng& gen, std::st
 
 ad::node_id multi_head_attention::apply(ad::graph& g, ad::node_id x) const {
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dim_ / heads_));
-  const auto split = [&](const token_linear_layer& proj) {
+  const auto split = [&](const linear_layer& proj) {
     return g.add_transform(ad::make_split_heads(heads_), {proj.apply(g, x)});
   };
   const ad::node_id q = split(q_);

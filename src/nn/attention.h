@@ -27,10 +27,10 @@ private:
   std::string name_;
   std::int64_t dim_;
   std::int64_t heads_;
-  token_linear_layer q_;
-  token_linear_layer k_;
-  token_linear_layer v_;
-  token_linear_layer out_;
+  linear_layer q_;
+  linear_layer k_;
+  linear_layer v_;
+  linear_layer out_;
 };
 
 }  // namespace pelta::nn

@@ -25,7 +25,7 @@ private:
   std::string name_;
   std::int64_t patch_size_;
   std::int64_t tokens_;
-  token_linear_layer proj_;
+  linear_layer proj_;
   ad::parameter* class_token_;
   ad::parameter* pos_embed_;
 };
@@ -39,8 +39,8 @@ public:
 
 private:
   std::string name_;
-  token_linear_layer fc1_;
-  token_linear_layer fc2_;
+  linear_layer fc1_;
+  linear_layer fc2_;
 };
 
 /// Pre-LN transformer encoder block:

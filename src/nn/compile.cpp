@@ -35,9 +35,10 @@ std::vector<chain_step> parse_chain(const ad::graph& g, ad::node_id input, ad::n
   ad::node_id cur = input;
   while (cur != logits) {
     const std::vector<ad::node_id> kids = g.children(cur);
-    PELTA_CHECK_MSG(kids.size() == 1, "chain node " << cur << " has " << kids.size()
-                                                    << " children — only chain-shaped graphs "
-                                                       "compile (no residual branches)");
+    PELTA_CHECK_MSG(kids.size() == 1,
+                    "chain node " << cur << " ('" << g.at(cur).tag << "') has " << kids.size()
+                                  << " children — only chain-shaped graphs compile (no residual "
+                                     "branches)");
     const ad::node& nd = g.at(kids[0]);
     PELTA_CHECK(nd.kind == ad::node_kind::transform && nd.oper != nullptr);
     PELTA_CHECK_MSG(!nd.parents.empty() && nd.parents[0] == cur,
@@ -54,7 +55,7 @@ std::vector<chain_step> parse_chain(const ad::graph& g, ad::node_id input, ad::n
       for (std::size_t p = first; p < nd.parents.size(); ++p) {
         const ad::node& pn = g.at(nd.parents[p]);
         PELTA_CHECK_MSG(pn.kind == ad::node_kind::parameter && pn.param != nullptr,
-                        "operand " << p << " of '" << op_name
+                        "operand " << p << " of '" << op_name << "' at '" << st.tag
                                    << "' is not a parameter leaf — not compilable");
         st.param_names.push_back(pn.param->name);
       }
@@ -65,10 +66,6 @@ std::vector<chain_step> parse_chain(const ad::graph& g, ad::node_id input, ad::n
       PELTA_CHECK(target != nullptr && !target->empty());
       st.kind = step_kind::reshape;
       st.reshape_dims.assign(target->begin() + 1, target->end());
-    } else if (op_name == "scale") {
-      PELTA_CHECK(nd.parents.size() == 1);
-      st.kind = step_kind::scale;
-      PELTA_CHECK(ad::scale_params_of(*nd.oper, &st.scale));
     } else if (op_name == "affine") {
       PELTA_CHECK(nd.parents.size() == 1);
       st.kind = step_kind::affine;
@@ -78,15 +75,12 @@ std::vector<chain_step> parse_chain(const ad::graph& g, ad::node_id input, ad::n
       st.kind = step_kind::relu;
     } else if (op_name == "linear") {
       PELTA_CHECK(nd.parents.size() == 2 || nd.parents.size() == 3);
+      // A quantized linear stage runs on [batch, features] rows; a per-token
+      // linear on [B,T,P] is outside the vocabulary.
+      PELTA_CHECK_MSG(g.value(cur).ndim() == 2,
+                      "linear '" << st.tag << "' on a " << to_string(g.value(cur).shape())
+                                 << " chain value — only 2-d [batch, features] linear compiles");
       st.kind = step_kind::linear;
-      params_from(1);
-    } else if (op_name == "matmul") {
-      PELTA_CHECK(nd.parents.size() == 2);
-      st.kind = step_kind::matmul;
-      params_from(1);
-    } else if (op_name == "add_broadcast") {
-      PELTA_CHECK(nd.parents.size() == 2);
-      st.kind = step_kind::add_broadcast;
       params_from(1);
     } else if (op_name == "conv2d") {
       PELTA_CHECK(nd.parents.size() == 2 || nd.parents.size() == 3);
@@ -102,14 +96,12 @@ std::vector<chain_step> parse_chain(const ad::graph& g, ad::node_id input, ad::n
                                                  << "' is in train mode — only eval-mode batch "
                                                     "norm (a fixed per-channel affine) compiles");
       params_from(1);
-    } else if (op_name == "maxpool2x2") {
-      PELTA_CHECK(nd.parents.size() == 1);
-      st.kind = step_kind::maxpool2x2;
     } else if (op_name == "global_avgpool") {
       PELTA_CHECK(nd.parents.size() == 1);
       st.kind = step_kind::global_avgpool;
     } else {
-      PELTA_CHECK_MSG(false, "op '" << op_name << "' is outside the compile vocabulary");
+      PELTA_CHECK_MSG(false, "op '" << op_name << "' at '" << st.tag
+                                    << "' is outside the compile vocabulary");
     }
     cur = nd.id;
     chain.push_back(std::move(st));
@@ -154,11 +146,6 @@ std::vector<fusion_group> plan_fusion(const std::vector<chain_step>& chain,
         fusable = true;
         if (end < chain.size() && chain[end].kind == step_kind::relu) ++end;
         break;
-      case step_kind::matmul:
-        fusable = true;
-        if (end < chain.size() && chain[end].kind == step_kind::add_broadcast) ++end;
-        if (end < chain.size() && chain[end].kind == step_kind::relu) ++end;
-        break;
       case step_kind::conv2d:
         fusable = true;
         if (end < chain.size() && chain[end].kind == step_kind::batchnorm2d) ++end;
@@ -186,7 +173,7 @@ quantized_stage build_quantized_stage(
   std::vector<float> bias;
   bool has_bias = false;
 
-  if (head.kind == step_kind::linear || head.kind == step_kind::matmul) {
+  if (head.kind == step_kind::linear) {
     PELTA_CHECK(!head.param_names.empty());
     const tensor& w = param_of(head.param_names[0]);
     PELTA_CHECK_MSG(w.ndim() == 2, "linear weight '" << head.param_names[0] << "' is not 2-d");
@@ -194,17 +181,10 @@ quantized_stage build_quantized_stage(
     const std::int64_t n = w.size(1);
     st.in_features = k;
     st.out_features = n;
-    const tensor* bias_param = nullptr;
-    if (head.kind == step_kind::linear && head.param_names.size() > 1)
-      bias_param = &param_of(head.param_names[1]);
-    if (head.kind == step_kind::matmul && i < group.end &&
-        chain[i].kind == step_kind::add_broadcast) {
-      bias_param = &param_of(chain[i].param_names[0]);
-      ++i;
-    }
-    if (bias_param != nullptr) {
-      PELTA_CHECK(bias_param->numel() == n);
-      bias.assign(bias_param->data().begin(), bias_param->data().end());
+    if (head.param_names.size() > 1) {
+      const tensor& b0 = param_of(head.param_names[1]);
+      PELTA_CHECK(b0.numel() == n);
+      bias.assign(b0.data().begin(), b0.data().end());
       has_bias = true;
     }
     st.weights = quant::quantize_weights_kn(w.data().data(), k, n);

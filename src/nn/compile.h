@@ -5,13 +5,15 @@
 //   1. parse_chain — walk a freshly built forward graph from input to
 //      logits and describe every transform as a replayable `chain_step`.
 //      Only chain-shaped graphs compile: a vertex with two input-dependent
-//      children (a residual branch) or an op outside the replay vocabulary
-//      is a hard PELTA_CHECK error, never a silent fp32 fallback.
+//      children (a residual branch), an op outside the replay vocabulary
+//      (exactly the ops the zoo's models put on their chain path) or a
+//      linear on a non-2-d chain value is a hard PELTA_CHECK error at parse
+//      time, never a silent fp32 fallback or a later failure inside a stage.
 //   2. plan_fusion — group the chain into fusable int8 stages
-//      (linear[+relu], matmul[+add_broadcast][+relu],
-//      conv2d[+batchnorm2d(eval)][+relu]) and kept-fp32 runs. A group any
-//      of whose tags matches the keep-fp32 policy stays fp32 — this is the
-//      knob the shield placement sweep turns (masked layers fp32 vs int8).
+//      (linear[+relu], conv2d[+batchnorm2d(eval)][+relu]) and kept-fp32
+//      runs. A group any of whose tags matches the keep-fp32 policy stays
+//      fp32 — this is the knob the shield placement sweep turns (masked
+//      layers fp32 vs int8).
 //   3. build_quantized_stage — fold the group's epilogue into the weights
 //      (eval batch-norm becomes per-channel scale/bias before per-channel
 //      quantization), quantize (tensor/quantized_tensor.h) and pre-pack for
@@ -49,14 +51,10 @@ namespace pelta::nn {
 enum class step_kind : std::uint8_t {
   reshape,
   affine,
-  scale,
   relu,
-  linear,
-  matmul,
-  add_broadcast,
+  linear,  ///< 2-d chain values only: [batch, features]
   conv2d,
   batchnorm2d,
-  maxpool2x2,
   global_avgpool,
 };
 
@@ -67,7 +65,7 @@ struct chain_step {
   ad::node_id node = ad::invalid_node;  ///< id in the parsed source graph
   std::string tag;                      ///< source node tag (preserved on replay)
   shape_t reshape_dims;                 ///< reshape: per-SAMPLE dims (batch dim dropped)
-  float scale = 1.0f;                   ///< scale: y = scale*x; affine: y = scale*(x+shift)
+  float scale = 1.0f;                   ///< affine: y = scale*(x+shift)
   float shift = 0.0f;                   ///< affine only
   std::int64_t stride = 1;              ///< conv2d
   std::int64_t pad = 0;                 ///< conv2d
@@ -105,7 +103,7 @@ struct quantized_stage {
   std::string tag;        ///< tag of the group's LAST source node
   float act_scale = 1.0f; ///< per-tensor input scale (calibration fills this)
 
-  // linear / matmul geometry
+  // linear geometry
   std::int64_t in_features = 0;
   std::int64_t out_features = 0;
 
@@ -120,7 +118,7 @@ struct quantized_stage {
   quant::quantized_weights weights;  ///< packed for qgemm, per-channel scales
   std::vector<float> bias;           ///< folded bias; empty = none
   /// Straight-through backward weights, DEQUANTIZED (so backward matches the
-  /// forward the attacker actually probes): [out,in] for linear/matmul,
+  /// forward the attacker actually probes): [out,in] for linear,
   /// [OC,C,KH,KW] for conv.
   tensor w_backward;
 

@@ -1,7 +1,7 @@
 #include "nn/layers.h"
 
 #include "autodiff/ops_conv.h"
-#include "autodiff/ops_loss.h"
+#include "autodiff/ops_linalg.h"
 #include "nn/init.h"
 
 namespace pelta::nn {
@@ -17,19 +17,6 @@ ad::node_id linear_layer::apply(ad::graph& g, ad::node_id x) const {
   std::vector<ad::node_id> parents{x, g.add_parameter(*w_)};
   if (b_ != nullptr) parents.push_back(g.add_parameter(*b_));
   return g.add_transform(ad::make_linear(b_ != nullptr), std::move(parents), name_);
-}
-
-token_linear_layer::token_linear_layer(param_store& store, rng& gen, std::string name,
-                                       std::int64_t in, std::int64_t out, bool bias)
-    : name_{std::move(name)} {
-  w_ = &store.create(name_ + ".w", xavier_uniform(gen, {in, out}, in, out));
-  if (bias) b_ = &store.create(name_ + ".b", tensor::zeros({out}));
-}
-
-ad::node_id token_linear_layer::apply(ad::graph& g, ad::node_id x) const {
-  std::vector<ad::node_id> parents{x, g.add_parameter(*w_)};
-  if (b_ != nullptr) parents.push_back(g.add_parameter(*b_));
-  return g.add_transform(ad::make_token_linear(b_ != nullptr), std::move(parents), name_);
 }
 
 conv2d_layer::conv2d_layer(param_store& store, rng& gen, std::string name, std::int64_t in_ch,

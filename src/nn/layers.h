@@ -13,25 +13,12 @@
 
 namespace pelta::nn {
 
-/// Dense layer on 2-d activations [B,In] -> [B,Out].
+/// Dense layer over any leading rank: [..., In] -> [..., Out] (a head on
+/// [B,In], a per-token projection on [B,T,In]).
 class linear_layer {
 public:
   linear_layer(param_store& store, rng& gen, std::string name, std::int64_t in, std::int64_t out,
                bool bias = true);
-  ad::node_id apply(ad::graph& g, ad::node_id x) const;
-  const std::string& name() const { return name_; }
-
-private:
-  std::string name_;
-  ad::parameter* w_;
-  ad::parameter* b_ = nullptr;
-};
-
-/// Per-token dense layer on 3-d activations [B,T,In] -> [B,T,Out].
-class token_linear_layer {
-public:
-  token_linear_layer(param_store& store, rng& gen, std::string name, std::int64_t in,
-                     std::int64_t out, bool bias = true);
   ad::node_id apply(ad::graph& g, ad::node_id x) const;
   const std::string& name() const { return name_; }
 

@@ -146,7 +146,7 @@ void gemm_accumulate(const float* a, const float* b, float* out, std::int64_t m,
   // gate — it neither consults nor scans B, and it runs the branch-free
   // dense path outright. Only a call whose A contains zeros pays the
   // (cached, once-per-operand) B scan. The pre-scan is O(m*k) but not free
-  // on a shallow GEMM: on a ViT token_linear shape (m 544, k 32, n 32;
+  // on a shallow GEMM: on a ViT per-token linear shape (m 544, k 32, n 32;
   // avx512 tier, one thread; bench_kernels' gate_overhead rows) this call
   // takes about 20 µs against 17 µs for the tier kernel alone, and took
   // 39 µs while the scan was a per-element early-exit loop.

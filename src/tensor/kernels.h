@@ -132,7 +132,7 @@ void gemm_accumulate(const float* a, const float* b, float* out, std::int64_t m,
 // ascending k-order per element, same zero-skip gate (decided from bt's
 // finiteness) — but instead of a full [k,n] transpose per call it packs
 // one cache-sized panel of register strips at a time from the thread's
-// scratch arena, so the transposed-operand backward passes (token_linear's,
+// scratch arena, so the transposed-operand backward passes (linear's dX,
 // ops::bmm_bt) never materialize one. conv2d_backward_weight relies on
 // this equality the other way round: it writes its columns already
 // transposed (im2row) and calls gemm_accumulate, with the bits of the bt

@@ -87,7 +87,7 @@ TEST(Graph, MatmulGradientsMatchFiniteDifference) {
   const node_id a = g.add_input(a0, "a");
   parameter bp{"b", b0};
   const node_id b = g.add_parameter(bp);
-  const node_id c = g.add_transform(make_matmul(), {a, b});
+  const node_id c = g.add_transform(make_linear(/*with_bias=*/false), {a, b});
   g.backward_from(c, seed);
 
   const auto fa = [&](const tensor& probe) { return ops::dot(ops::matmul(probe, b0), seed); };

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "autodiff/ops_conv.h"
+#include "autodiff/ops_linalg.h"
 #include "kernel_tiers.h"
 #include "models/model.h"
 #include "models/zoo.h"
@@ -344,25 +344,42 @@ TEST(BlockedGemm, MatmulBitIdenticalAcrossThreadWidths) {
                            static_cast<std::size_t>(pooled.numel()) * sizeof(float)));
 }
 
-// token_linear runs its GEMMs on the operands' storage (no reshape copies,
-// transposed-B backward). Forward and every gradient must equal the composed
-// tensor-op path bit for bit, at batch 1 and 32, at pool widths 1 and 8 and
-// on every kernel tier — the composed path always runs on sse2.
-TEST(TokenLinear, BitEqualsComposedPath) {
+// linear runs its GEMMs on the operands' storage at any leading rank (no
+// reshape copies, transposed-B backward). Forward and every gradient must
+// equal the composed tensor-op path on the flattened [rows, In] matrix bit
+// for bit, with and without bias, at pool widths 1 and 8 and on every kernel
+// tier — the composed path always runs on sse2.
+TEST(Linear, BitEqualsComposedPath) {
   rng gen{61};
-  const std::int64_t t = 17, p = 48, d = 40;  // d straddles every tier's strip width
-  const tensor w = tensor::randn(gen, {p, d});
-  const tensor bias = tensor::randn(gen, {d});
-  for (const std::int64_t b : {1, 32}) {
-    tensor x = tensor::randn(gen, {b, t, p});
+  struct layer {
+    shape_t x;
+    std::int64_t d;
+  };
+  // Rank 3: per-token projections at batch 1 and 32 (d straddles every
+  // tier's strip width). Rank 2: a 32 -> 10 head at batch 1 and 32, and one
+  // k >= 257 layer.
+  const std::vector<layer> layers{
+      {{1, 17, 48}, 40}, {{32, 17, 48}, 40}, {{1, 32}, 10}, {{32, 32}, 10}, {{33, 257}, 263}};
+  const auto bits_equal_tensor = [](const tensor& x, const tensor& y) {
+    return x.numel() == y.numel() &&
+           std::memcmp(x.data().data(), y.data().data(),
+                       static_cast<std::size_t>(x.numel()) * sizeof(float)) == 0;
+  };
+  for (const layer& l : layers) {
+    const std::int64_t p = l.x.back(), d = l.d, rows = numel_of(l.x) / p;
+    shape_t y_shape = l.x;
+    y_shape.back() = d;
+    const tensor w = tensor::randn(gen, {p, d});
+    const tensor bias = tensor::randn(gen, {d});
+    tensor x = tensor::randn(gen, l.x);
     for (float& v : x.data())
       if (gen.bernoulli(0.1f)) v = 0.0f;  // post-activation zeros: the Skip path
-    const tensor g = tensor::randn(gen, {b, t, d});
+    const tensor g = tensor::randn(gen, y_shape);
 
-    // Composed path on the sse2 tier: flatten tokens, ops::matmul, then
+    // Composed path on the sse2 tier: flatten to rows, ops::matmul, then
     // the bias.
-    const tensor x2 = x.reshape({b * t, p});
-    const tensor g2 = g.reshape({b * t, d});
+    const tensor x2 = x.reshape({rows, p});
+    const tensor g2 = g.reshape({rows, d});
     tensor want_y, want_gx, want_gw;
     {
       const ops::detail::tier_override sse2{ops::detail::isa::sse2};
@@ -370,40 +387,41 @@ TEST(TokenLinear, BitEqualsComposedPath) {
       want_gx = ops::matmul(g2, ops::transpose2d(w));
       want_gw = ops::matmul(ops::transpose2d(x2), g2);
     }
-    for (std::int64_t r = 0; r < b * t; ++r)
-      for (std::int64_t c = 0; c < d; ++c) want_y.at(r, c) += bias[c];
+    tensor want_y_bias = want_y;
+    for (std::int64_t r = 0; r < rows; ++r)
+      for (std::int64_t c = 0; c < d; ++c) want_y_bias.at(r, c) += bias[c];
     tensor want_gb{shape_t{d}};
-    for (std::int64_t r = 0; r < b * t; ++r)
+    for (std::int64_t r = 0; r < rows; ++r)
       for (std::int64_t c = 0; c < d; ++c) want_gb[c] += g2.at(r, c);
 
-    const auto bits_equal_tensor = [](const tensor& x, const tensor& y) {
-      return x.numel() == y.numel() &&
-             std::memcmp(x.data().data(), y.data().data(),
-                         static_cast<std::size_t>(x.numel()) * sizeof(float)) == 0;
-    };
+    const std::string at = to_string(l.x) + " x [" + std::to_string(p) + ", " +
+                           std::to_string(d) + "] ";
     for_each_tier([&](const kernel_table& tier) {
-      const auto check = [&](const std::string& width) {
-        const ad::op_ptr op = ad::make_token_linear(/*with_bias=*/true);
-        const std::vector<const tensor*> in{&x, &w, &bias};
+      const auto check = [&](bool with_bias, const std::string& width) {
+        const std::string where = at + (with_bias ? "bias " : "no bias ") + width + " " +
+                                  tier.name;
+        const ad::op_ptr op = ad::make_linear(with_bias);
+        std::vector<const tensor*> in{&x, &w};
+        if (with_bias) in.push_back(&bias);
         const tensor y = op->forward(in);
-        ASSERT_EQ(y.shape(), (shape_t{b, t, d}));
-        EXPECT_TRUE(bits_equal_tensor(want_y, y))
-            << "forward b=" << b << " " << width << " " << tier.name;
+        ASSERT_EQ(y.shape(), y_shape);
+        EXPECT_TRUE(bits_equal_tensor(with_bias ? want_y_bias : want_y, y)) << "forward " << where;
         const std::vector<tensor> grads = op->backward(g, in, y);
-        ASSERT_EQ(grads.size(), 3u);
+        ASSERT_EQ(grads.size(), with_bias ? 3u : 2u);
         EXPECT_EQ(grads[0].shape(), x.shape());
-        EXPECT_TRUE(bits_equal_tensor(want_gx, grads[0]))
-            << "dX b=" << b << " " << width << " " << tier.name;
-        EXPECT_TRUE(bits_equal_tensor(want_gw, grads[1]))
-            << "dW b=" << b << " " << width << " " << tier.name;
-        EXPECT_TRUE(bits_equal_tensor(want_gb, grads[2]))
-            << "db b=" << b << " " << width << " " << tier.name;
+        EXPECT_TRUE(bits_equal_tensor(want_gx, grads[0])) << "dX " << where;
+        EXPECT_TRUE(bits_equal_tensor(want_gw, grads[1])) << "dW " << where;
+        if (with_bias) {
+          EXPECT_TRUE(bits_equal_tensor(want_gb, grads[2])) << "db " << where;
+        }
       };
-      {
-        serial_guard guard;
-        check("PELTA_THREADS=1");
+      for (const bool with_bias : {true, false}) {
+        {
+          serial_guard guard;
+          check(with_bias, "PELTA_THREADS=1");
+        }
+        check(with_bias, "PELTA_THREADS=" + std::to_string(parallel_thread_count()));
       }
-      check("PELTA_THREADS=" + std::to_string(parallel_thread_count()));
     });
   }
 }

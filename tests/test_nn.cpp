@@ -112,10 +112,11 @@ TEST(Layers, LinearShapesAndBias) {
   EXPECT_EQ(gr.at(y).tag, "fc");
 }
 
+// The same linear layer serves a per-token [B,T,In] projection.
 TEST(Layers, TokenLinearShapes) {
   param_store store;
   rng g{7};
-  token_linear_layer fc{store, g, "tl", 6, 4};
+  linear_layer fc{store, g, "tl", 6, 4};
   ad::graph gr;
   const ad::node_id x = gr.add_input(tensor::randn(g, {2, 5, 6}));
   const ad::node_id y = fc.apply(gr, x);

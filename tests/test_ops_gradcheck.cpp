@@ -89,7 +89,6 @@ std::vector<op_case> all_cases() {
     cases.push_back(
         {std::string("log_softmax") + w, [] { return make_log_softmax_lastdim(); }, {s}, {0}});
   }
-  cases.push_back({"matmul", [] { return make_matmul(); }, {{3, 4}, {4, 2}}, {0, 1}});
   cases.push_back({"bmm", [] { return make_bmm(); }, {{2, 3, 4}, {2, 4, 2}}, {0, 1}});
   cases.push_back({"attention_weights", [] { return make_attention_weights(0.35f); },
                    {{2, 3, 4}, {2, 5, 4}}, {0, 1}});
@@ -99,15 +98,13 @@ std::vector<op_case> all_cases() {
   cases.push_back(
       {"prepend_token", [] { return make_prepend_token(); }, {{4}, {2, 3, 4}}, {0, 1}});
   cases.push_back({"slice_row", [] { return make_slice_row(1); }, {{2, 3, 4}}, {0}});
-  cases.push_back({"linear",
-                   [] { return make_linear(true); },
-                   {{3, 4}, {4, 2}, {2}},
-                   {0, 1, 2}});
+  // One dense op at rank 2 (heads) and rank 3 (per-token projections).
+  cases.push_back({"linear", [] { return make_linear(true); }, {{3, 4}, {4, 2}, {2}}, {0, 1, 2}});
   cases.push_back({"linear_nobias", [] { return make_linear(false); }, {{3, 4}, {4, 2}}, {0, 1}});
-  cases.push_back({"token_linear",
-                   [] { return make_token_linear(true); },
-                   {{2, 3, 4}, {4, 5}, {5}},
-                   {0, 1, 2}});
+  cases.push_back(
+      {"linear_rank3", [] { return make_linear(true); }, {{2, 3, 4}, {4, 5}, {5}}, {0, 1, 2}});
+  cases.push_back(
+      {"linear_rank3_nobias", [] { return make_linear(false); }, {{2, 3, 4}, {4, 5}}, {0, 1}});
   cases.push_back({"conv2d",
                    [] { return make_conv2d(1, 1, true); },
                    {{1, 2, 4, 4}, {3, 2, 3, 3}, {3}},

@@ -19,18 +19,21 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "autodiff/ops_conv.h"
 #include "autodiff/ops_elementwise.h"
 #include "kernel_tiers.h"
-#include "autodiff/ops_loss.h"
+#include "autodiff/ops_linalg.h"
 #include "autodiff/ops_norm.h"
 #include "models/compiler.h"
 #include "models/ensemble.h"
 #include "models/mlp.h"
 #include "models/trainer.h"
+#include "models/zoo.h"
 #include "nn/compile.h"
+#include "nn/layers.h"
 #include "reference_kernels.h"
 #include "tensor/kernels.h"
 #include "tensor/parallel.h"
@@ -510,6 +513,61 @@ TEST(CompilePass, StraightThroughBackwardReachesTheInput) {
   // The BPDA surrogate must carry real signal (an all-zero gradient would
   // silently disarm every gradient attack on quantized models).
   EXPECT_GT(norm, 0.0f);
+}
+
+// ---- graphs outside the chain vocabulary ------------------------------------
+
+// parse_chain's error text for a graph it must reject; empty when it parses.
+std::string parse_error(const ad::graph& g, ad::node_id input, ad::node_id logits) {
+  try {
+    (void)nn::parse_chain(g, input, logits);
+  } catch (const error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(CompilePass, RejectsGraphsOutsideTheChainVocabulary) {
+  rng gen{73};
+  nn::param_store store;
+  const tensor images = tensor::rand_uniform(gen, {2, 3, 16, 16});
+  const auto expect_names = [](const std::string& msg, const std::string& what) {
+    EXPECT_NE(msg.find(what), std::string::npos) << "error \"" << msg << "\" lacks " << what;
+  };
+
+  // A residual branch: ResNet-56-sim's input normalization feeds both the
+  // high-pass blur and the high-pass residual add.
+  {
+    const auto resnet = models::make_resnet56_sim(models::task_spec{});
+    const models::forward_pass fp = resnet->forward(images, ad::norm_mode::eval);
+    const std::string msg = parse_error(fp.graph, fp.input, fp.logits);
+    expect_names(msg, "('normalize')");
+    expect_names(msg, "residual branches");
+  }
+  // A rank-3 linear: a per-token projection on [B,T,P]. patchify is itself
+  // outside the vocabulary, so a reshape (inside it) builds the tokens.
+  {
+    ad::graph g;
+    const ad::node_id x = g.add_input(images);
+    const ad::node_id tokens = g.add_transform(ad::make_reshape({2, 16, 48}), {x}, "tok.view");
+    const nn::linear_layer proj{store, gen, "tok.proj", 48, 8};
+    expect_names(parse_error(g, x, proj.apply(g, tokens)), "linear 'tok.proj' on a [2, 16, 48]");
+  }
+  // maxpool2x2, which no zoo chain emits.
+  {
+    ad::graph g;
+    const ad::node_id x = g.add_input(images);
+    const nn::conv2d_layer conv{store, gen, "pool.conv", 3, 4, 3, 1, 1, false, false};
+    const ad::node_id y = g.add_transform(ad::make_maxpool2x2(), {conv.apply(g, x)}, "pool.max");
+    expect_names(parse_error(g, x, y), "op 'maxpool2x2' at 'pool.max'");
+  }
+  // A conv whose weight is a weight_standardize transform, not a parameter.
+  {
+    ad::graph g;
+    const ad::node_id x = g.add_input(images);
+    const nn::conv2d_layer conv{store, gen, "ws.conv", 3, 4, 3, 1, 1, false, true};
+    expect_names(parse_error(g, x, conv.apply(g, x)), "'conv2d' at 'ws.conv'");
+  }
 }
 
 // ---- calibrated accuracy ----------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include "autodiff/ops_conv.h"
 #include "autodiff/ops_elementwise.h"
+#include "autodiff/ops_linalg.h"
 #include "autodiff/ops_loss.h"
 #include "autodiff/ops_norm.h"
 #include "models/zoo.h"
