@@ -272,6 +272,78 @@ TEST(ClusterPlan, HeldRequestsFlushAtTheRestart) {
   EXPECT_EQ(d.at_ns, 6e8);
 }
 
+// ---- golden schedule (plan level) ------------------------------------------
+
+// A whole round-robin schedule with a kill that aborts a dispatched batch
+// and an open one, then a restart that rejoins mid-stream, pinned batch by
+// batch: replica, abort flag, close reason, open/close stamps (hex floats,
+// exact) and members in admission order. Any change to routing, event
+// priority or batching that moves one stamp or one member fails here.
+TEST(ClusterPlan, GoldenRoundRobinScheduleWithKillAndRestart) {
+  enum class close { fill, drain, deadline };
+  struct golden_batch {
+    std::int64_t replica;
+    bool aborted;
+    close reason;
+    double open_ns;
+    double close_ns;
+    std::vector<std::size_t> members;
+  };
+  const std::vector<golden_batch> golden{
+      {0, false, close::deadline, 0x1.c577c291a7ae5p+15, 0x1.024fbe148d3d7p+20, {0, 4}},
+      {1, false, close::deadline, 0x1.a9415c7ed199dp+17, 0x1.294c2b8fda334p+20, {1, 5}},
+      {2, false, close::deadline, 0x1.7bc13640b6aaap+18, 0x1.53144d902daaap+20, {2, 6}},
+      {3, false, close::deadline, 0x1.6eb6dcccf1c5ap+19, 0x1.ab7f6e6678e2dp+20, {3, 7}},
+      {0, false, close::deadline, 0x1.7aabe0385dd34p+20, 0x1.3767f01c2ee9ap+21, {8}},
+      {1, false, close::deadline, 0x1.0a9cd198e3bc7p+21, 0x1.84aed198e3bc7p+21, {9, 13}},
+      {2, true, close::deadline, 0x1.2bfecd82e9164p+21, 0x1.a610cd82e9164p+21, {10, 14}},
+      {3, false, close::deadline, 0x1.33f8799022cd4p+21, 0x1.ae0a799022cd4p+21, {11, 15}},
+      {0, false, close::deadline, 0x1.44f0c815fe219p+21, 0x1.bf02c815fe219p+21, {12, 16}},
+      {1, false, close::deadline, 0x1.8cb03572ba502p+21, 0x1.03611ab95d281p+22, {17}},
+      {2, true, close::deadline, 0x1.c1c530f94acdp+21, 0x0p+0, {18}},
+      {3, false, close::deadline, 0x1.d7a7b411754c8p+21, 0x1.28dcda08baa64p+22, {19, 14}},
+      {0, false, close::fill, 0x1.1cb5bf8b2d979p+22, 0x1.4db3c6831bbd1p+22, {20, 18, 23, 26}},
+      {1, false, close::deadline, 0x1.1cb5bf8b2d979p+22, 0x1.59bebf8b2d979p+22, {10, 21, 24}},
+      {3, false, close::deadline, 0x1.2a979dbdcc4c6p+22, 0x1.67a09dbdcc4c6p+22, {22, 25}},
+      {1, false, close::deadline, 0x1.6e600f4e7d2dap+22, 0x1.ab690f4e7d2dap+22, {27, 30}},
+      {3, false, close::deadline, 0x1.76c9ff8b1cbbp+22, 0x1.b3d2ff8b1cbbp+22, {28, 31}},
+      {0, false, close::deadline, 0x1.7d7ddcefc753ap+22, 0x1.ba86dcefc753ap+22, {29, 32}},
+      {1, false, close::deadline, 0x1.b6c170830a32ap+22, 0x1.f3ca70830a32ap+22, {33, 37}},
+      {2, false, close::deadline, 0x1.b7aee9c191aaap+22, 0x1.f4b7e9c191aaap+22, {34, 38}},
+      {3, false, close::deadline, 0x1.c59251dd10f69p+22, 0x1.014da8ee887b4p+23, {35}},
+      {0, false, close::drain, 0x1.dbfe55dd09da3p+22, 0x1.dbfe55dd09da3p+22, {36}},
+      {3, false, close::drain, 0x1.01a9a5c04020ap+23, 0x1.01a9a5c04020ap+23, {39}},
+  };
+
+  const std::vector<double> stamps = serve::make_poisson_arrivals(40, 2e5, 71);
+  std::vector<std::int64_t> ids;
+  for (std::int64_t i = 0; i < 40; ++i) ids.push_back(i);
+  serve::cluster_config config = base_config(4);
+  const double kill = stamps[20];
+  ASSERT_EQ(kill, 0x1.1cb5bf8b2d979p+22);
+  config.chaos.push_back({kill, 2, /*kill=*/true});
+  config.chaos.push_back({kill + 2e6, 2, /*kill=*/false});
+
+  const serve::cluster_plan plan = serve::plan_cluster(config, stamps, ids);
+  EXPECT_EQ(plan.requeued, 3);
+  EXPECT_EQ(plan.routed_per_slot, (std::vector<std::int64_t>{12, 12, 7, 12}));
+  ASSERT_EQ(plan.batches.size(), golden.size());
+  for (std::size_t b = 0; b < golden.size(); ++b) {
+    const serve::planned_cluster_batch& got = plan.batches[b];
+    const golden_batch& want = golden[b];
+    const close reason = got.batch.closed_by_fill    ? close::fill
+                         : got.batch.closed_by_drain ? close::drain
+                                                     : close::deadline;
+    EXPECT_EQ(got.replica, want.replica) << "batch " << b;
+    EXPECT_EQ(got.aborted, want.aborted) << "batch " << b;
+    EXPECT_TRUE(reason == want.reason) << "batch " << b;
+    EXPECT_EQ(got.batch.open_ns, want.open_ns) << "batch " << b;
+    EXPECT_EQ(got.batch.close_ns, want.close_ns) << "batch " << b;
+    EXPECT_EQ(got.batch.members, want.members) << "batch " << b;
+  }
+  expect_exactly_once_coverage(plan, stamps.size());
+}
+
 // ---- autoscaler (plan level) -----------------------------------------------
 
 TEST(ClusterPlan, AutoscalerRidesASquareWaveWithoutFlapping) {
