@@ -124,7 +124,6 @@ int main() {
   for (std::int64_t replicas : fleet_sizes) {
     serve::cluster_config config;
     config.replicas = replicas;
-    config.policy = serve::router_policy::round_robin;
     config.server = server_config;
     serve::cluster fleet{backend, config};
 
@@ -160,7 +159,6 @@ int main() {
   // replica.
   serve::cluster_config chaos_config;
   chaos_config.replicas = 4;
-  chaos_config.policy = serve::router_policy::round_robin;
   chaos_config.server = server_config;
   const double kill_ns = arrivals[static_cast<std::size_t>(n / 2)];
   chaos_config.chaos.push_back({kill_ns, 1, /*kill=*/true});
@@ -237,7 +235,6 @@ int main() {
         .field("max_delay_ns", server_config.policy.max_delay_ns)
         .field("batch_setup_ns", server_config.cost.batch_setup_ns)
         .field("compute_ns_per_sample", server_config.cost.compute_ns_per_sample)
-        .field("router", "round_robin")
         .field("fleet", fleet_json)
         .field("scale_threshold", min_scale)
         .field("gated_sim_scale_8_replicas", gated_scale)

@@ -11,7 +11,6 @@
 #include "serve/exec.h"
 #include "tensor/check.h"
 #include "tensor/parallel.h"
-#include "tensor/rng.h"
 
 namespace pelta::serve {
 
@@ -19,26 +18,24 @@ namespace {
 
 // Event kinds double as the shared queue's event id, so the queue's
 // (stamp, id, seq) order IS the cluster's equal-stamp priority: finishes
-// free load before routing, chaos reshapes the fleet before routing, the
-// autoscaler ticks on pre-arrival state, and an arrival stamped exactly at
-// a batch deadline is admitted before the deadline closes the batch (the
-// inclusive-window rule plan_batches follows).
+// retire batches before routing, chaos reshapes the fleet before routing,
+// and an arrival stamped exactly at a batch deadline is admitted before the
+// deadline closes the batch (the inclusive-window rule plan_batches
+// follows).
 enum ev_kind : std::int64_t {
   ev_finish = 0,
   ev_kill = 1,
   ev_restart = 2,
-  ev_tick = 3,
-  ev_arrival = 4,
-  ev_deadline = 5,
+  ev_arrival = 3,
+  ev_deadline = 4,
 };
 
 // Side payload per pushed event, indexed by the queue's seq (every push on
 // an open queue consumes exactly one seq).
-//   arrival:  a = workload index,  b = 1 when re-routed after a kill/drain
+//   arrival:  a = workload index,  b = 1 when re-routed after a kill
 //   deadline: a = slot,            b = the slot's open-generation at push
 //   finish:   a = batch index
 //   kill/restart: a = slot
-//   tick:     a = tick ordinal
 struct ev_payload {
   std::int64_t a = 0;
   std::int64_t b = 0;
@@ -49,7 +46,6 @@ struct slot_state {
   std::int64_t open_batch = -1;  ///< index into plan.batches, -1 when none
   std::int64_t open_gen = 0;     ///< bumped per open; stales old deadline events
   double busy_until_ns = 0.0;    ///< modeled pipeline clock
-  std::int64_t load = 0;         ///< routed-but-unfinished requests
   std::vector<std::int64_t> inflight;  ///< dispatched batches, finish pending
 };
 
@@ -68,33 +64,19 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
   const batch_policy& policy = config.server.policy;
   PELTA_CHECK_MSG(policy.max_batch >= 1, "batch_policy.max_batch must be >= 1");
   PELTA_CHECK_MSG(policy.max_delay_ns >= 0.0, "batch_policy.max_delay_ns must be >= 0");
-  const autoscale_config& scale = config.autoscale;
-  if (scale.enabled) {
-    PELTA_CHECK_MSG(scale.tick_ns > 0.0 && std::isfinite(scale.tick_ns),
-                    "autoscale.tick_ns must be positive and finite");
-    PELTA_CHECK_MSG(scale.min_replicas >= 1, "autoscale.min_replicas must be >= 1");
-    PELTA_CHECK_MSG(scale.max_replicas >= scale.min_replicas,
-                    "autoscale watermark slots are inverted");
-    PELTA_CHECK_MSG(scale.hysteresis_ticks >= 1, "autoscale.hysteresis_ticks must be >= 1");
-    PELTA_CHECK_MSG(scale.low_watermark <= scale.high_watermark,
-                    "autoscale watermarks are inverted");
-  }
   for (double s : submit_ns)
     PELTA_CHECK_MSG(std::isfinite(s), "arrival stamps must be finite, got " << s);
 
   const std::size_t n = submit_ns.size();
   cluster_plan plan;
   plan.requests = static_cast<std::int64_t>(n);
-  const std::int64_t slots =
-      scale.enabled ? std::max(config.replicas, scale.max_replicas) : config.replicas;
-  plan.slots = slots;
+  const std::int64_t slots = config.replicas;
   plan.final_replica.assign(n, -1);
   plan.routed_per_slot.assign(static_cast<std::size_t>(slots), 0);
 
   std::vector<slot_state> state(static_cast<std::size_t>(slots));
-  for (std::int64_t s = 0; s < config.replicas; ++s) state[static_cast<std::size_t>(s)].alive = true;
-  std::int64_t live = config.replicas;
-  plan.peak_live = live;
+  for (slot_state& s : state) s.alive = true;
+  std::int64_t live = slots;
 
   core::event_queue events;  // open: the cluster queue never rejects
   std::vector<ev_payload> payload;
@@ -140,12 +122,9 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
     }
   }
   std::int64_t remaining = static_cast<std::int64_t>(n);
-  if (scale.enabled && n > 0) push_event(scale.tick_ns, ev_tick, 1, 0);
 
   std::vector<held_req> held;
   std::int64_t rr_cursor = 0;
-  std::int64_t up_streak = 0;
-  std::int64_t down_streak = 0;
 
   const auto flush_held = [&](double stamp) {
     if (held.empty()) return;
@@ -166,8 +145,8 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
   const auto dispatch_batch = [&](std::int64_t bi) {
     planned_cluster_batch& pb = plan.batches[static_cast<std::size_t>(bi)];
     slot_state& s = state[static_cast<std::size_t>(pb.replica)];
-    // Modeled cost only: routing load must never depend on measured enclave
-    // charges (the plan stays pure). Execution folds the real charge in.
+    // Modeled cost only: the plan must never depend on measured enclave
+    // charges (it stays pure). Execution folds the real charge in.
     pb.planned_exec_start_ns = std::max(pb.batch.close_ns, s.busy_until_ns);
     pb.planned_finish_ns = config.server.cost.finish_ns(
         pb.planned_exec_start_ns, static_cast<std::int64_t>(pb.batch.members.size()));
@@ -190,86 +169,25 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
     }
   };
 
-  // Abort a slot's open batch (if any) and return its members; used by
-  // kills and autoscale drains.
-  const auto abort_open = [&](slot_state& s) {
-    std::vector<std::size_t> orphans;
-    if (s.open_batch == -1) return orphans;
-    planned_cluster_batch& pb = plan.batches[static_cast<std::size_t>(s.open_batch)];
-    pb.aborted = true;
-    orphans = pb.batch.members;
-    s.load -= static_cast<std::int64_t>(orphans.size());
-    s.open_batch = -1;
-    return orphans;
-  };
-
   const auto route = [&](std::size_t req, double at_ns, bool requeued) {
     if (live == 0) {
       held.push_back(held_req{req, requeued});
       return;
     }
-    route_decision d;
-    d.request = req;
-    d.at_ns = at_ns;
-    d.requeued = requeued;
     std::int64_t pick = -1;
-    switch (config.policy) {
-      case router_policy::round_robin: {
-        for (std::int64_t k = 0; k < slots; ++k) {
-          const std::int64_t s = (rr_cursor + k) % slots;
-          if (!state[static_cast<std::size_t>(s)].alive) continue;
-          pick = s;
-          rr_cursor = (s + 1) % slots;
-          break;
-        }
-        break;
-      }
-      case router_policy::least_loaded: {
-        for (std::int64_t s = 0; s < slots; ++s) {
-          const slot_state& cand = state[static_cast<std::size_t>(s)];
-          if (!cand.alive) continue;
-          if (pick == -1 || cand.load < state[static_cast<std::size_t>(pick)].load) pick = s;
-        }
-        break;
-      }
-      case router_policy::power_of_two: {
-        std::vector<std::int64_t> live_slots;
-        for (std::int64_t s = 0; s < slots; ++s)
-          if (state[static_cast<std::size_t>(s)].alive) live_slots.push_back(s);
-        // Forked from the REQUEST id: the same request draws the same
-        // candidates no matter when it routes or how events interleaved.
-        rng draw = rng{config.router_seed}.fork(static_cast<std::uint64_t>(ids[req]));
-        if (live_slots.size() == 1) {
-          pick = live_slots.front();
-          d.candidate_a = pick;
-          d.load_a = state[static_cast<std::size_t>(pick)].load;
-        } else {
-          const std::int64_t count = static_cast<std::int64_t>(live_slots.size());
-          const std::int64_t ai = draw.uniform_int(0, count - 1);
-          std::int64_t bi = draw.uniform_int(0, count - 2);
-          if (bi >= ai) ++bi;  // distinct candidates
-          const std::int64_t a = live_slots[static_cast<std::size_t>(ai)];
-          const std::int64_t b = live_slots[static_cast<std::size_t>(bi)];
-          d.candidate_a = a;
-          d.candidate_b = b;
-          d.load_a = state[static_cast<std::size_t>(a)].load;
-          d.load_b = state[static_cast<std::size_t>(b)].load;
-          if (d.load_a != d.load_b)
-            pick = d.load_a < d.load_b ? a : b;
-          else
-            pick = std::min(a, b);
-        }
-        break;
-      }
+    for (std::int64_t k = 0; k < slots; ++k) {
+      const std::int64_t s = (rr_cursor + k) % slots;
+      if (!state[static_cast<std::size_t>(s)].alive) continue;
+      pick = s;
+      rr_cursor = (s + 1) % slots;
+      break;
     }
     PELTA_CHECK_MSG(pick >= 0, "router found no live replica despite live=" << live);
-    d.replica = pick;
-    plan.decisions.push_back(d);
+    plan.decisions.push_back(route_decision{req, at_ns, pick, requeued});
     ++plan.routed_per_slot[static_cast<std::size_t>(pick)];
     if (requeued) ++plan.requeued;
 
     slot_state& s = state[static_cast<std::size_t>(pick)];
-    ++s.load;
     if (s.open_batch == -1) {
       const std::int64_t bi = static_cast<std::int64_t>(plan.batches.size());
       planned_cluster_batch pb;
@@ -316,7 +234,6 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
         slot_state& s = state[static_cast<std::size_t>(pb.replica)];
         s.inflight.erase(std::remove(s.inflight.begin(), s.inflight.end(), p.a),
                          s.inflight.end());
-        s.load -= static_cast<std::int64_t>(pb.batch.members.size());
         for (std::size_t m : pb.batch.members) {
           PELTA_CHECK_MSG(plan.final_replica[m] == -1,
                           "request served twice (workload index " << m << ")");
@@ -329,14 +246,19 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
       case ev_kill: {
         slot_state& s = state[static_cast<std::size_t>(p.a)];
         PELTA_CHECK_MSG(s.alive, "chaos kills slot " << p.a << " which is not live");
-        std::vector<std::size_t> orphans = abort_open(s);
+        std::vector<std::size_t> orphans;
+        if (s.open_batch != -1) {
+          planned_cluster_batch& pb = plan.batches[static_cast<std::size_t>(s.open_batch)];
+          pb.aborted = true;
+          orphans = pb.batch.members;
+          s.open_batch = -1;
+        }
         for (std::int64_t bi : s.inflight) {
           planned_cluster_batch& pb = plan.batches[static_cast<std::size_t>(bi)];
           pb.aborted = true;
           orphans.insert(orphans.end(), pb.batch.members.begin(), pb.batch.members.end());
         }
         s.inflight.clear();
-        s.load = 0;
         s.alive = false;
         s.busy_until_ns = ev.stamp_ns;
         --live;
@@ -348,79 +270,9 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
         slot_state& s = state[static_cast<std::size_t>(p.a)];
         PELTA_CHECK_MSG(!s.alive, "chaos restarts slot " << p.a << " which is already live");
         s.alive = true;
-        // max: a drained slot's inflight may still be running — the replica
-        // pipeline never runs two batches at once, restarted or not.
-        s.busy_until_ns = std::max(s.busy_until_ns, ev.stamp_ns);
+        s.busy_until_ns = ev.stamp_ns;  // the kill emptied it: idle from T
         ++live;
-        plan.peak_live = std::max(plan.peak_live, live);
         flush_held(ev.stamp_ns);
-        break;
-      }
-      case ev_tick: {
-        if (remaining == 0) break;  // stream served — the fleet stops ticking
-        std::int64_t pending = static_cast<std::int64_t>(held.size());
-        for (std::int64_t s = 0; s < slots; ++s)
-          if (state[static_cast<std::size_t>(s)].alive)
-            pending += state[static_cast<std::size_t>(s)].load;
-        bool over = false;
-        bool under = false;
-        if (live == 0) {
-          over = true;  // dead fleet with work pending: infinitely overloaded
-        } else {
-          const double ratio = static_cast<double>(pending) / static_cast<double>(live);
-          over = ratio > scale.high_watermark;
-          under = ratio < scale.low_watermark;
-        }
-        if (over && live < scale.max_replicas) {
-          down_streak = 0;
-          if (++up_streak >= scale.hysteresis_ticks) {
-            up_streak = 0;
-            std::int64_t target = -1;
-            for (std::int64_t s = 0; s < slots; ++s) {
-              if (!state[static_cast<std::size_t>(s)].alive) {
-                target = s;
-                break;
-              }
-            }
-            if (target != -1) {
-              slot_state& s = state[static_cast<std::size_t>(target)];
-              s.alive = true;
-              s.busy_until_ns = std::max(s.busy_until_ns, ev.stamp_ns);
-              s.load = 0;
-              ++live;
-              plan.peak_live = std::max(plan.peak_live, live);
-              plan.scales.push_back(scale_decision{ev.stamp_ns, true, target, live});
-              flush_held(ev.stamp_ns);
-            }
-          }
-        } else if (under && live > scale.min_replicas) {
-          up_streak = 0;
-          if (++down_streak >= scale.hysteresis_ticks) {
-            down_streak = 0;
-            std::int64_t target = -1;
-            for (std::int64_t s = slots - 1; s >= 0; --s) {
-              if (state[static_cast<std::size_t>(s)].alive) {
-                target = s;
-                break;
-              }
-            }
-            // Graceful drain: dispatched batches run to completion; only the
-            // open batch's requests re-route.
-            slot_state& s = state[static_cast<std::size_t>(target)];
-            std::vector<std::size_t> orphans = abort_open(s);
-            s.alive = false;
-            --live;
-            plan.scales.push_back(scale_decision{ev.stamp_ns, false, target, live});
-            canonical(orphans);
-            push_arrivals(ev.stamp_ns, orphans, /*requeued=*/true);
-          }
-        } else {
-          // In the dead band (or at a fleet-size wall): hysteresis streaks
-          // only count CONSECUTIVE out-of-band ticks.
-          up_streak = 0;
-          down_streak = 0;
-        }
-        push_event(ev.stamp_ns + scale.tick_ns, ev_tick, p.a + 1, 0);
         break;
       }
       case ev_arrival: {
@@ -447,7 +299,7 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
   PELTA_CHECK_MSG(held.empty(),
                   "cluster schedule ends with " << held.size()
                                                 << " request(s) held: every replica was dead "
-                                                   "and no restart or scale-up followed");
+                                                   "and no restart followed");
   PELTA_CHECK_MSG(remaining == 0,
                   "cluster schedule ends with " << remaining << " unserved request(s)");
   return plan;
@@ -473,7 +325,7 @@ cluster_report cluster::run(const std::vector<classify_request>& workload) {
   }
   report.plan = plan_cluster(config_, stamps, ids);
 
-  const std::int64_t slots = report.plan.slots;
+  const std::int64_t slots = config_.replicas;
   std::vector<std::vector<exec::batch_ref>> slot_batches(static_cast<std::size_t>(slots));
   for (std::size_t b = 0; b < report.plan.batches.size(); ++b) {
     const planned_cluster_batch& pb = report.plan.batches[b];

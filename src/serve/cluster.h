@@ -1,24 +1,24 @@
 // Multi-replica serving cluster on the shared simulated clock.
 //
-// Scales serve from one server to N replicas behind a router, with a chaos
-// schedule (replica kills/restarts) and a load-based autoscaler — the fleet
-// the paper's §VI cost model is really about: per-batch enclave-transition
-// amortization only matters once routing, replica failure and scale
-// decisions interact under open-loop load.
+// Scales serve from one server to N replicas behind a round-robin router,
+// with a chaos schedule (replica kills/restarts) — the fleet the paper's
+// §VI cost model is really about: per-batch enclave-transition amortization
+// only matters once routing and replica failure interact under open-loop
+// load.
 //
 // The same plan/execute split as everything else scheduled in this repo:
 //
 //   1. plan_cluster — ONE pure, single-threaded event loop over the shared
 //      core::event_queue (simclock.h). Arrivals, batch deadlines, modeled
-//      batch finishes, chaos kills/restarts and autoscale ticks are all
-//      events; equal stamps resolve by a fixed event-kind priority
-//      (finish < kill < restart < tick < arrival < deadline — an arrival
-//      stamped exactly at a batch's deadline is still admitted, the same
-//      inclusive-window rule as plan_batches) and, within a kind, by the
-//      queue's push-order tie-break, which the planner feeds in canonical
-//      (submit_ns, id) order. The plan fixes every decision: which replica
-//      serves which request, every batch's membership and close stamp,
-//      which batches a kill aborts, when the autoscaler acts.
+//      batch finishes and chaos kills/restarts are all events; equal stamps
+//      resolve by a fixed event-kind priority (finish < kill < restart <
+//      arrival < deadline — an arrival stamped exactly at a batch's
+//      deadline is still admitted, the same inclusive-window rule as
+//      plan_batches) and, within a kind, by the queue's push-order
+//      tie-break, which the planner feeds in canonical (submit_ns, id)
+//      order. The plan fixes every decision: which replica serves which
+//      request, every batch's membership and close stamp, which batches a
+//      kill aborts.
 //   2. cluster::run — executes the planned batches, one pool task
 //      (submit_task) per replica, each replica with its OWN tee::enclave +
 //      enclave_session, running its batches through exec::run_batches —
@@ -30,23 +30,21 @@
 //      PELTA_THREADS, and every request's logits row is bit-identical to
 //      the single-server path (batch-size invariance + one shared executor).
 //
-// Routing LOAD is a plan-time model: requests routed to a replica and not
-// yet finished under the modeled batch cost (server_config::cost,
-// core/cost_model.h). Measured enclave charges are only known at execution
-// and are deliberately excluded from routing — planning must stay pure —
-// and folded into the replica clocks when the plan executes.
+// Routing is a rotating cursor over live slots. A replica's pipeline clock
+// is a plan-time model priced by server_config::cost (core/cost_model.h);
+// measured enclave charges are only known at execution — planning must
+// stay pure — and are folded into the replica clocks when the plan
+// executes.
 //
 // Chaos semantics (drain-and-requeue — no request is ever lost):
 //   * kill(replica, T): the open batch and every dispatched-but-unfinished
 //     batch abort; their requests re-route at stamp T, in canonical
 //     (submit_ns, id) order, over the remaining live replicas. Requests
 //     whose batches finished (modeled) before T keep their results. If no
-//     replica is live, requests are HELD and re-routed at the next restart
-//     or scale-up; a schedule that ends with held requests is rejected
-//     (checked), not silently dropped.
+//     replica is live, requests are HELD and re-routed at the next restart;
+//     a schedule that ends with held requests is rejected (checked), not
+//     silently dropped.
 //   * restart(replica, T): the slot rejoins empty and idle at T.
-//   * autoscale scale-down drains instead of killing: dispatched batches
-//     run to completion, only the open batch's requests re-route.
 #pragma once
 
 #include <cstdint>
@@ -57,17 +55,6 @@
 
 namespace pelta::serve {
 
-/// How the router picks a replica for each request.
-enum class router_policy {
-  round_robin,   ///< rotating cursor over live replicas
-  least_loaded,  ///< minimum modeled load, ties to the lowest slot
-  /// Power-of-two-choices: two distinct live candidates drawn from
-  /// rng{router_seed}.fork(request id) — per-request deterministic, never
-  /// dependent on event interleaving — then the less loaded of the pair
-  /// (ties to the lower slot).
-  power_of_two,
-};
-
 /// One scripted chaos action on the simulated clock.
 struct chaos_event {
   double stamp_ns = 0.0;
@@ -75,35 +62,12 @@ struct chaos_event {
   bool kill = true;          ///< false: restart the (dead) slot
 };
 
-/// Queue-depth watermark autoscaler. Evaluated every `tick_ns` on the
-/// simulated clock: when modeled load per live replica stays above
-/// `high_watermark` for `hysteresis_ticks` CONSECUTIVE ticks, one slot
-/// starts; below `low_watermark` as long, one drains (graceful: only the
-/// open batch re-routes). A decision resets both streaks — the hysteresis
-/// that keeps a square-wave load from flapping the fleet.
-struct autoscale_config {
-  bool enabled = false;
-  double tick_ns = 4e6;
-  double high_watermark = 8.0;
-  double low_watermark = 1.0;
-  std::int64_t hysteresis_ticks = 3;
-  std::int64_t min_replicas = 1;
-  std::int64_t max_replicas = 8;
-};
-
 struct cluster_config {
-  /// Slots live at simulated time 0. With the autoscaler off this is also
-  /// the fleet size; with it on, slots up to `autoscale.max_replicas` exist
-  /// (the ones beyond `replicas` start dead).
-  std::int64_t replicas = 2;
-  router_policy policy = router_policy::round_robin;
-  /// Seed of the power-of-two candidate draws (forked per request id).
-  std::uint64_t router_seed = 0x9027e4;
+  std::int64_t replicas = 2;  ///< fleet size; every slot is live at time 0
   /// Per-replica server: batching policy, simulated cost model, optional
   /// preprocessor chain. Every replica is configured identically.
   server_config server;
   std::vector<chaos_event> chaos;  ///< any order; sorted by the planner
-  autoscale_config autoscale;
 };
 
 /// One planned replica batch. `batch.members` are workload indices in
@@ -124,43 +88,25 @@ struct route_decision {
   std::size_t request = 0;  ///< workload index
   double at_ns = 0.0;
   std::int64_t replica = -1;
-  bool requeued = false;  ///< re-route after a kill / drain
-  // Power-of-two candidates and their modeled loads at decision time
-  // (candidate_b = -1 when only one replica was live; both -1 for the
-  // other policies).
-  std::int64_t candidate_a = -1;
-  std::int64_t candidate_b = -1;
-  std::int64_t load_a = 0;
-  std::int64_t load_b = 0;
-};
-
-/// One autoscaler action.
-struct scale_decision {
-  double at_ns = 0.0;
-  bool up = false;
-  std::int64_t replica = -1;  ///< slot started or drained
-  std::int64_t live_after = 0;
+  bool requeued = false;  ///< re-route after a kill
 };
 
 struct cluster_plan {
   std::vector<planned_cluster_batch> batches;  ///< in creation (open) order
   std::vector<route_decision> decisions;
-  std::vector<scale_decision> scales;
   /// Per workload index: the slot whose surviving batch serves it.
   std::vector<std::int64_t> final_replica;
   /// Routing decisions per slot, requeues included.
   std::vector<std::int64_t> routed_per_slot;
   std::int64_t requests = 0;
-  std::int64_t requeued = 0;  ///< re-route decisions after kills / drains
-  std::int64_t slots = 0;
-  std::int64_t peak_live = 0;
+  std::int64_t requeued = 0;  ///< re-route decisions after kills
   double end_ns = 0.0;  ///< modeled finish of the last batch
 };
 
 /// Plan the whole cluster schedule. Pure and single-threaded: depends only
 /// on the config and the (submit_ns, id) workload — never on wall-clock,
 /// thread count or model values. `ids` must have one entry per stamp (the
-/// router's per-request fork key and the canonical tie-break).
+/// canonical tie-break).
 cluster_plan plan_cluster(const cluster_config& config,
                           const std::vector<double>& submit_ns,
                           const std::vector<std::int64_t>& ids);

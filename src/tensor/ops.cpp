@@ -76,9 +76,6 @@ tensor sub(const tensor& a, const tensor& b) {
 tensor mul(const tensor& a, const tensor& b) {
   return zip(a, b, "mul", [](float x, float y) { return x * y; });
 }
-tensor div(const tensor& a, const tensor& b) {
-  return zip(a, b, "div", [](float x, float y) { return x / y; });
-}
 
 tensor add_scalar(const tensor& a, float s) {
   return unary(a, [s](float x) { return x + s; });
@@ -88,20 +85,11 @@ tensor mul_scalar(const tensor& a, float s) {
   return unary(a, [s](float x) { return x * s; });
 }
 
-tensor neg(const tensor& a) {
-  return unary(a, [](float x) { return -x; });
-}
 tensor relu(const tensor& a) {
   return unary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 tensor exp(const tensor& a) {
   return unary_map(a, [](const float* in, float* out, std::int64_t n) { fn::exp(in, out, n); });
-}
-tensor log(const tensor& a) {
-  return unary(a, [](float x) { return std::log(x); });
-}
-tensor sqrt(const tensor& a) {
-  return unary(a, [](float x) { return std::sqrt(x); });
 }
 tensor tanh(const tensor& a) {
   return unary_map(a, [](const float* in, float* out, std::int64_t n) { fn::tanh(in, out, n); });

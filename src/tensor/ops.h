@@ -15,7 +15,6 @@ namespace pelta::ops {
 tensor add(const tensor& a, const tensor& b);
 tensor sub(const tensor& a, const tensor& b);
 tensor mul(const tensor& a, const tensor& b);
-tensor div(const tensor& a, const tensor& b);
 
 // ---- scalar -----------------------------------------------------------------
 
@@ -24,12 +23,9 @@ tensor mul_scalar(const tensor& a, float s);
 
 // ---- elementwise unary --------------------------------------------------------
 
-tensor neg(const tensor& a);
 tensor relu(const tensor& a);
 /// fn::exp per element (tensor/mathfn.h: host-independent bits).
 tensor exp(const tensor& a);
-tensor log(const tensor& a);
-tensor sqrt(const tensor& a);
 /// fn::tanh per element (tensor/mathfn.h: host-independent bits).
 tensor tanh(const tensor& a);
 tensor abs(const tensor& a);

@@ -1,14 +1,12 @@
 // Multi-replica serving cluster (src/serve/cluster.h).
 //
 // The suite pins the cluster contracts:
-//   * the router is a pure plan-time policy — round-robin is fair,
-//     power-of-two-choices never picks the strictly-more-loaded of its two
-//     candidates, and a one-replica cluster batches EXACTLY like
-//     plan_batches (the unification evidence for the shared simclock);
+//   * the router is a pure plan-time round-robin — it is fair, a
+//     one-replica cluster batches EXACTLY like plan_batches (the
+//     unification evidence for the shared simclock), and a golden schedule
+//     with a kill and a restart is pinned batch by batch;
 //   * chaos is drain-and-requeue — killing a replica mid-stream loses no
 //     request and duplicates none, at plan level and through execution;
-//   * the autoscaler has hysteresis — a square-wave load produces grouped
-//     scale phases, never tick-to-tick flapping;
 //   * execution is bit-deterministic — pooled (PELTA_THREADS=8) and
 //     forced-serial runs produce byte-identical reports, and every logits
 //     row matches the single-server path bit for bit;
@@ -138,16 +136,14 @@ void expect_cluster_reports_identical(const serve::cluster_report& got,
   }
 }
 
-serve::cluster_config base_config(std::int64_t replicas,
-                                  serve::router_policy policy = serve::router_policy::round_robin) {
+serve::cluster_config base_config(std::int64_t replicas) {
   serve::cluster_config c;
   c.replicas = replicas;
-  c.policy = policy;
   c.server.policy = {4, 1e6};
   return c;
 }
 
-// ---- router policies (plan level) ------------------------------------------
+// ---- router (plan level) ---------------------------------------------------
 
 TEST(ClusterPlan, RoundRobinIsFair) {
   std::vector<double> stamps;
@@ -163,38 +159,6 @@ TEST(ClusterPlan, RoundRobinIsFair) {
   EXPECT_LE(*hi - *lo, 1) << "round-robin counts diverged";
   EXPECT_EQ(plan.routed_per_slot[0] + plan.routed_per_slot[1] + plan.routed_per_slot[2], 31);
   EXPECT_EQ(plan.requeued, 0);
-  expect_exactly_once_coverage(plan, stamps.size());
-}
-
-TEST(ClusterPlan, PowerOfTwoNeverPicksTheStrictlyMoreLoadedCandidate) {
-  const std::vector<double> stamps = serve::make_poisson_arrivals(200, 2e5, 11);
-  std::vector<std::int64_t> ids;
-  for (std::int64_t i = 0; i < 200; ++i) ids.push_back(i);
-  const serve::cluster_plan plan =
-      serve::plan_cluster(base_config(4, serve::router_policy::power_of_two), stamps, ids);
-  ASSERT_EQ(plan.decisions.size(), 200u);
-  std::int64_t contested = 0;
-  for (const serve::route_decision& d : plan.decisions) {
-    if (d.candidate_b == -1) continue;  // only one live replica at the time
-    ++contested;
-    ASSERT_TRUE(d.replica == d.candidate_a || d.replica == d.candidate_b);
-    const std::int64_t picked = d.replica == d.candidate_a ? d.load_a : d.load_b;
-    const std::int64_t other = d.replica == d.candidate_a ? d.load_b : d.load_a;
-    EXPECT_LE(picked, other) << "p2c picked the more loaded replica for request " << d.request;
-    if (d.load_a == d.load_b) {  // tie: the lower slot index wins
-      EXPECT_EQ(d.replica, std::min(d.candidate_a, d.candidate_b));
-    }
-  }
-  EXPECT_GT(contested, 0);
-  expect_exactly_once_coverage(plan, stamps.size());
-}
-
-TEST(ClusterPlan, LeastLoadedNeverPicksAboveTheMinimum) {
-  const std::vector<double> stamps = serve::make_poisson_arrivals(120, 3e5, 5);
-  std::vector<std::int64_t> ids;
-  for (std::int64_t i = 0; i < 120; ++i) ids.push_back(i);
-  const serve::cluster_plan plan =
-      serve::plan_cluster(base_config(3, serve::router_policy::least_loaded), stamps, ids);
   expect_exactly_once_coverage(plan, stamps.size());
 }
 
@@ -344,56 +308,6 @@ TEST(ClusterPlan, GoldenRoundRobinScheduleWithKillAndRestart) {
   expect_exactly_once_coverage(plan, stamps.size());
 }
 
-// ---- autoscaler (plan level) -----------------------------------------------
-
-TEST(ClusterPlan, AutoscalerRidesASquareWaveWithoutFlapping) {
-  // Two dense bursts separated by silence: 60 arrivals at 0.1 ms gaps
-  // (~10/ms offered vs ~2.2/ms per-replica capacity), 30 ms of quiet, then
-  // the same burst again.
-  std::vector<double> stamps;
-  std::vector<std::int64_t> ids;
-  for (std::int64_t i = 0; i < 60; ++i) stamps.push_back(static_cast<double>(i) * 1e5);
-  for (std::int64_t i = 0; i < 60; ++i) stamps.push_back(4e7 + static_cast<double>(i) * 1e5);
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(stamps.size()); ++i) ids.push_back(i);
-
-  serve::cluster_config config = base_config(1);
-  config.autoscale.enabled = true;
-  config.autoscale.tick_ns = 1e6;
-  config.autoscale.high_watermark = 6.0;
-  config.autoscale.low_watermark = 1.0;
-  config.autoscale.hysteresis_ticks = 3;
-  config.autoscale.min_replicas = 1;
-  config.autoscale.max_replicas = 4;
-
-  const serve::cluster_plan plan = serve::plan_cluster(config, stamps, ids);
-  expect_exactly_once_coverage(plan, stamps.size());
-  EXPECT_EQ(plan.slots, 4);
-  EXPECT_GT(plan.peak_live, 1) << "the burst should trigger a scale-up";
-
-  bool any_up = false;
-  bool any_down = false;
-  std::int64_t direction_changes = 0;
-  for (std::size_t i = 0; i < plan.scales.size(); ++i) {
-    const serve::scale_decision& d = plan.scales[i];
-    (d.up ? any_up : any_down) = true;
-    EXPECT_GE(d.live_after, config.autoscale.min_replicas);
-    EXPECT_LE(d.live_after, config.autoscale.max_replicas);
-    if (i > 0) {
-      if (plan.scales[i - 1].up != d.up) ++direction_changes;
-      // Streaks rebuild from zero after every action: consecutive decisions
-      // are at least hysteresis_ticks ticks apart — the no-flapping bound.
-      EXPECT_GE(d.at_ns - plan.scales[i - 1].at_ns,
-                static_cast<double>(config.autoscale.hysteresis_ticks) *
-                    config.autoscale.tick_ns);
-    }
-  }
-  EXPECT_TRUE(any_up);
-  EXPECT_TRUE(any_down);
-  // A two-burst square wave yields at most grow/shrink/grow/shrink phases —
-  // three direction changes. Flapping would alternate far more often.
-  EXPECT_LE(direction_changes, 3);
-}
-
 // ---- execution -------------------------------------------------------------
 
 class ClusterTest : public ::testing::Test {
@@ -406,7 +320,7 @@ protected:
 TEST_F(ClusterTest, PooledAndSerialRunsAreByteIdentical) {
   const std::vector<double> stamps = serve::make_poisson_arrivals(48, 5e5, 19);
   const std::vector<serve::classify_request> reqs = make_requests(48, stamps);
-  serve::cluster_config config = base_config(3, serve::router_policy::power_of_two);
+  serve::cluster_config config = base_config(3);
   config.chaos.push_back({stamps[24], 2, true});
   config.chaos.push_back({stamps[24] + 1.5e7, 2, false});
 
@@ -425,7 +339,7 @@ TEST_F(ClusterTest, PooledAndSerialRunsAreByteIdentical) {
 TEST_F(ClusterTest, EveryLogitsRowMatchesTheSingleServerBitwise) {
   const std::vector<double> stamps = serve::make_poisson_arrivals(40, 6e5, 29);
   const std::vector<serve::classify_request> reqs = make_requests(40, stamps);
-  serve::cluster_config config = base_config(3, serve::router_policy::least_loaded);
+  serve::cluster_config config = base_config(3);
 
   serve::model_backend backend{model_};
   serve::cluster fleet{backend, config};
@@ -486,7 +400,7 @@ TEST_F(ClusterTest, ChaosRunServesEveryRequestExactlyOnce) {
 TEST_F(ClusterTest, EveryModeledBatchIsPricedByTheSharedCostModel) {
   const std::vector<double> stamps = serve::make_poisson_arrivals(40, 3e5, 53);
   const std::vector<serve::classify_request> reqs = make_requests(40, stamps);
-  serve::cluster_config config = base_config(3, serve::router_policy::least_loaded);
+  serve::cluster_config config = base_config(3);
   config.server.cost.batch_setup_ns = 1.3e6;
   config.server.cost.compute_ns_per_sample = 3.7e5;
   config.chaos.push_back({stamps[20], 1, true});

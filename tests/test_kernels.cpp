@@ -461,8 +461,8 @@ TEST(KernelTiers, LookupIsCappedAtTheHostTier) {
   EXPECT_EQ(ops::detail::active_kernels().tier, ops::detail::host_isa());
 }
 
-// Satellite: elementwise zip/unary now dispatch through the pool above a
-// grain threshold. Values must be bit-identical at every thread width.
+// Every elementwise op dispatches through the pool above a grain threshold
+// (ops.cpp). Values must be bit-identical at every thread width.
 TEST(Elementwise, BitIdenticalAcrossThreadWidths) {
   rng gen{59};
   const std::int64_t count = (1 << 17) + 7;  // above the grain, odd tail
@@ -474,11 +474,12 @@ TEST(Elementwise, BitIdenticalAcrossThreadWidths) {
     r.push_back(ops::add(a, b));
     r.push_back(ops::sub(a, b));
     r.push_back(ops::mul(a, b));
-    r.push_back(ops::div(a, b));
     r.push_back(ops::relu(a));
     r.push_back(ops::exp(a));
     r.push_back(ops::tanh(a));
     r.push_back(ops::sign(a));
+    r.push_back(ops::abs(a));
+    r.push_back(ops::map(a, [](float x) { return x * x - 0.5f * x; }));
     r.push_back(ops::add_scalar(a, 0.25f));
     r.push_back(ops::mul_scalar(a, -1.5f));
     return r;

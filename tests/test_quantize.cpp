@@ -167,9 +167,12 @@ TEST(Qgemm, MatchesReferenceBitwiseAcrossTileGrid) {
     // Sizes straddle every tile boundary: register tiles (4x16), k-groups of
     // 4, the KCQ k-block (256 groups = 1024 rows is too slow for a grid, so
     // 65 covers multi-group + remainders; the k-block edge gets its own case).
+    // The m sizes leave every remainder below both tile heights: 1..3 rows
+    // under the 4-row sse2/avx2 tile, 1..7 under the 8-row avx512 tile.
     const std::int64_t sizes[] = {1, 3, 4, 5, 15, 16, 17, 33, 64, 65};
+    const std::int64_t m_sizes[] = {1, 2, 3, 4, 5, 6, 15, 16, 17, 33, 64, 65};
     rng gen{31};
-    for (const std::int64_t m : sizes) {
+    for (const std::int64_t m : m_sizes) {
       for (const std::int64_t k : sizes) {
         const std::int64_t lda = ops::detail::qgemm_row_stride(k);
         std::vector<std::uint8_t> a(static_cast<std::size_t>(m * lda), 0);
