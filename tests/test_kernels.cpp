@@ -461,8 +461,9 @@ TEST(KernelTiers, LookupIsCappedAtTheHostTier) {
   EXPECT_EQ(ops::detail::active_kernels().tier, ops::detail::host_isa());
 }
 
-// Every elementwise op dispatches through the pool above a grain threshold
-// (ops.cpp). Values must be bit-identical at every thread width.
+// The zip/unary elementwise ops dispatch through the pool above a grain
+// threshold (ops.cpp); each one is listed here. Values must be
+// bit-identical at every thread width.
 TEST(Elementwise, BitIdenticalAcrossThreadWidths) {
   rng gen{59};
   const std::int64_t count = (1 << 17) + 7;  // above the grain, odd tail
