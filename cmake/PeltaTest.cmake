@@ -20,8 +20,10 @@ function(pelta_add_test name)
   add_executable(${name} ${name}.cpp)
   target_link_libraries(${name} PRIVATE pelta::pelta GTest::gtest_main pelta_build_flags)
 
-  # Sanitized builds run ~10x slower; scale the timeouts, don't fail on them.
-  if(PELTA_SANITIZE)
+  # Sanitized and --coverage (Debug, gcov-counting) builds run ~10x slower;
+  # scale the timeouts, don't fail on them. A coverage run killed at its
+  # timeout never writes its .gcda counters.
+  if(PELTA_SANITIZE OR CMAKE_CXX_FLAGS MATCHES "--coverage")
     math(EXPR ARG_TIMEOUT "${ARG_TIMEOUT} * 10")
   endif()
 

@@ -23,14 +23,6 @@ std::int64_t defended_model::classify(const tensor& image) {
   return ops::argmax(fp.graph.value(fp.logits));
 }
 
-tensor defended_model::classify_batch(const tensor& images) {
-  PELTA_CHECK_MSG(images.ndim() == 4, "classify_batch expects [N,C,H,W]");
-  models::forward_pass fp = model_->forward(images, ad::norm_mode::eval);
-  shield::pelta_shield_tags(fp.graph, model_->shield_frontier_tags(), &enclave_,
-                            model_->name() + "/");
-  return ops::argmax_lastdim(fp.graph.value(fp.logits));
-}
-
 defended_model::shield_cost defended_model::measure_shield_cost(const tensor& probe_image,
                                                                 bool with_gradients) {
   PELTA_CHECK_MSG(probe_image.ndim() == 3, "probe image must be [C,H,W]");

@@ -38,13 +38,6 @@ public:
   /// prediction (from the clear, deep part of the model) is returned.
   std::int64_t classify(const tensor& image);
 
-  /// Batched shielded inference: predictions [N] for images [N,C,H,W] from
-  /// ONE forward pass and ONE shield application — the enclave boundary is
-  /// crossed per batch, not per request. Each prediction is bit-identical
-  /// to classify() on that sample. This is the entry point the serving
-  /// runtime (serve/server.h) amortizes TEE costs through.
-  tensor classify_batch(const tensor& images);
-
   /// Table I quantities measured on a probe input. `with_gradients` models
   /// the FL training rounds, where the device also back-propagates (the
   /// paper's worst case: activations and gradients are not flushed).

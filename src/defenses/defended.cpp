@@ -30,55 +30,6 @@ std::int64_t defended_model::predict_one(const tensor& image, rng& gen) const {
   return best;
 }
 
-tensor defended_model::predict_batch(const tensor& images, std::uint64_t seed) const {
-  PELTA_CHECK_MSG(images.ndim() == 4, "predict_batch expects [N,C,H,W]");
-  const std::int64_t n = images.size(0);
-  const std::int64_t c = images.size(1), h = images.size(2), w = images.size(3);
-  const std::int64_t stride = c * h * w;
-  const std::int64_t rounds = chain_->randomized() ? votes_ : 1;
-  const rng root{seed};
-
-  // Preprocess every (sample, vote round) pair first: sample i's generator
-  // is forked once and drawn across its rounds sequentially — the exact
-  // stream predict_one consumes — then each round becomes one batched
-  // forward instead of N single-sample passes.
-  std::vector<tensor> round_batches;
-  round_batches.reserve(static_cast<std::size_t>(rounds));
-  for (std::int64_t v = 0; v < rounds; ++v) round_batches.emplace_back(shape_t{n, c, h, w});
-  parallel_for(n, [&](std::int64_t i) {
-    rng gen = root.fork(static_cast<std::uint64_t>(i));
-    tensor image{shape_t{c, h, w}};
-    const auto src = images.data();
-    std::copy(src.begin() + i * stride, src.begin() + (i + 1) * stride, image.data().begin());
-    for (std::int64_t v = 0; v < rounds; ++v) {
-      const tensor pre = chain_->apply(image, gen);
-      std::copy(pre.data().begin(), pre.data().end(),
-                round_batches[static_cast<std::size_t>(v)].data().begin() + i * stride);
-    }
-  });
-
-  if (rounds == 1) return models::predict(*model_, round_batches.front());
-
-  std::vector<std::vector<std::int64_t>> counts(
-      static_cast<std::size_t>(n),
-      std::vector<std::int64_t>(static_cast<std::size_t>(model_->num_classes()), 0));
-  for (std::int64_t v = 0; v < rounds; ++v) {
-    const tensor preds = models::predict(*model_, round_batches[static_cast<std::size_t>(v)]);
-    for (std::int64_t i = 0; i < n; ++i)
-      ++counts[static_cast<std::size_t>(i)][static_cast<std::size_t>(preds[i])];
-  }
-  tensor voted{shape_t{n}};
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::int64_t best = 0;  // ties break toward the smaller class index
-    for (std::int64_t k = 1; k < model_->num_classes(); ++k)
-      if (counts[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] >
-          counts[static_cast<std::size_t>(i)][static_cast<std::size_t>(best)])
-        best = k;
-    voted[i] = static_cast<float>(best);
-  }
-  return voted;
-}
-
 float defended_model::accuracy(const tensor& images, const tensor& labels,
                                std::uint64_t seed) const {
   PELTA_CHECK_MSG(images.ndim() == 4 && images.size(0) == labels.numel(),
@@ -100,30 +51,6 @@ float defended_model::accuracy(const tensor& images, const tensor& labels,
       correct.fetch_add(1, std::memory_order_relaxed);
   });
   return static_cast<float>(correct.load()) / static_cast<float>(n);
-}
-
-tensor apply_chain_batch(const preprocessor_chain& chain, const tensor& images,
-                         std::uint64_t seed, const std::vector<std::int64_t>& stream_ids) {
-  PELTA_CHECK_MSG(images.ndim() == 4, "apply_chain_batch expects [N,C,H,W]");
-  const std::int64_t n = images.size(0);
-  PELTA_CHECK_MSG(stream_ids.empty() || static_cast<std::int64_t>(stream_ids.size()) == n,
-                  "stream_ids size " << stream_ids.size() << " != batch size " << n);
-  const std::int64_t stride = images.numel() / std::max<std::int64_t>(n, 1);
-  const rng root{seed};
-
-  tensor out{images.shape()};
-  parallel_for(n, [&](std::int64_t i) {
-    const std::uint64_t stream =
-        stream_ids.empty() ? static_cast<std::uint64_t>(i)
-                           : static_cast<std::uint64_t>(stream_ids[static_cast<std::size_t>(i)]);
-    rng gen = root.fork(stream);
-    tensor image{shape_t{images.size(1), images.size(2), images.size(3)}};
-    const auto src = images.data();
-    std::copy(src.begin() + i * stride, src.begin() + (i + 1) * stride, image.data().begin());
-    const tensor pre = chain.apply(image, gen);
-    std::copy(pre.data().begin(), pre.data().end(), out.data().begin() + i * stride);
-  });
-  return out;
 }
 
 preprocessor_chain make_chain(const std::string& spec) {

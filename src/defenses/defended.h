@@ -3,9 +3,11 @@
 //
 // Classification of a sample runs the chain first (drawing fresh
 // randomness per call for randomized stages), optionally repeated with a
-// majority vote to stabilize randomized chains. The defended model is what
-// the robust-accuracy harness scores; the attack side (attacks/eot.h)
-// builds its BPDA/EOT oracles from the same chain.
+// majority vote to stabilize randomized chains. Scoring is per sample:
+// accuracy() runs predict_one on each sample, over the pool, under a stream
+// forked from the sample index. The defended model is what the
+// robust-accuracy harness scores; the attack side (attacks/eot.h) builds
+// its BPDA/EOT oracles from the same chain.
 #pragma once
 
 #include "defenses/preprocessor.h"
@@ -27,15 +29,6 @@ public:
   /// Predicted class of one [C,H,W] image; `gen` feeds the chain.
   std::int64_t predict_one(const tensor& image, rng& gen) const;
 
-  /// Batched predictions [N] for images [N,C,H,W]: the chain still runs per
-  /// sample (stream i forked from `seed`, drawing across vote rounds in the
-  /// same order predict_one would), but each vote round then runs as ONE
-  /// batched forward pass. Bit-identical to a serial
-  /// `predict_one(image_i, root.fork(i))` loop — the per-sample path
-  /// accuracy() scores — because eval-mode forwards are per-sample
-  /// independent.
-  tensor predict_batch(const tensor& images, std::uint64_t seed) const;
-
   /// Fraction of `images` [N,C,H,W] matching `labels` [N]; per-sample rng
   /// streams forked from `seed` keep the result thread-count independent.
   float accuracy(const tensor& images, const tensor& labels, std::uint64_t seed) const;
@@ -48,15 +41,5 @@ private:
 
 /// Standard chains used by the combined-defense bench and tests.
 preprocessor_chain make_chain(const std::string& spec);  ///< "quantize", "jpeg", "resize", "noise", "quantize+jpeg", ... ("" = empty)
-
-/// Apply `chain` to every [C,H,W] slice of a [N,C,H,W] batch, sample i
-/// drawing from the stream forked at `stream_ids[i]`, so a sample's
-/// randomness does not depend on which batch it landed in. The serving
-/// runtime fuses the same fork-by-request-id convention into its gather
-/// step (serve/server.cpp) — keep the two stream layouts in lockstep.
-/// Runs on the thread pool; bit-identical for every PELTA_THREADS value.
-/// `stream_ids` empty = fork by position.
-tensor apply_chain_batch(const preprocessor_chain& chain, const tensor& images,
-                         std::uint64_t seed, const std::vector<std::int64_t>& stream_ids = {});
 
 }  // namespace pelta::defenses

@@ -7,44 +7,6 @@ std::int64_t random_selection_ensemble::classify(const tensor& image, rng& gen) 
   return predict_one(chosen, image);
 }
 
-std::array<std::vector<std::int64_t>, 2> select_members(
-    std::int64_t n, std::uint64_t seed, const std::vector<std::int64_t>& stream_ids) {
-  PELTA_CHECK_MSG(stream_ids.empty() || static_cast<std::int64_t>(stream_ids.size()) == n,
-                  "stream_ids size " << stream_ids.size() << " != sample count " << n);
-  const rng root{seed};
-  std::array<std::vector<std::int64_t>, 2> rows;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::uint64_t stream =
-        stream_ids.empty() ? static_cast<std::uint64_t>(i)
-                           : static_cast<std::uint64_t>(stream_ids[static_cast<std::size_t>(i)]);
-    rng gen = root.fork(stream);
-    rows[gen.bernoulli(0.5) ? 0 : 1].push_back(i);
-  }
-  return rows;
-}
-
-tensor random_selection_ensemble::classify_batch(const tensor& images, std::uint64_t seed) const {
-  PELTA_CHECK_MSG(images.ndim() == 4, "classify_batch expects [N,C,H,W]");
-  const std::int64_t n = images.size(0);
-  const std::int64_t c = images.size(1), h = images.size(2), w = images.size(3);
-  const std::int64_t stride = c * h * w;
-  const std::array<std::vector<std::int64_t>, 2> member_rows = select_members(n, seed);
-
-  tensor preds{shape_t{n}};
-  for (std::size_t m = 0; m < 2; ++m) {
-    const std::vector<std::int64_t>& rows = member_rows[m];
-    if (rows.empty()) continue;
-    tensor sub{shape_t{static_cast<std::int64_t>(rows.size()), c, h, w}};
-    auto src = images.data();
-    for (std::size_t r = 0; r < rows.size(); ++r)
-      std::copy(src.begin() + rows[r] * stride, src.begin() + (rows[r] + 1) * stride,
-                sub.data().begin() + static_cast<std::int64_t>(r) * stride);
-    const tensor sub_preds = predict(m == 0 ? *first_ : *second_, sub);
-    for (std::size_t r = 0; r < rows.size(); ++r) preds[rows[r]] = sub_preds[static_cast<std::int64_t>(r)];
-  }
-  return preds;
-}
-
 float random_selection_ensemble::accuracy(const tensor& images, const tensor& labels,
                                           rng& gen) const {
   PELTA_CHECK(images.ndim() == 4 && labels.numel() == images.size(0));

@@ -1,9 +1,9 @@
 // Random-selection ensemble (§V-A2): two models (a ViT and a BiT in the
 // paper) where, per sample, one member is selected uniformly at random to
-// classify the input (Srisakaokul et al.'s MULDEF policy).
+// classify the input (Srisakaokul et al.'s MULDEF policy). Samples are
+// classified one at a time: accuracy() draws every member choice from the
+// caller's stream, in sample order.
 #pragma once
-
-#include <array>
 
 #include "models/model.h"
 
@@ -14,21 +14,8 @@ public:
   /// Non-owning: both members must outlive the ensemble.
   random_selection_ensemble(model& first, model& second) : first_{&first}, second_{&second} {}
 
-  model& first() { return *first_; }
-  model& second() { return *second_; }
-  const model& first() const { return *first_; }
-  const model& second() const { return *second_; }
-
   /// Classify one [C,H,W] image with a uniformly selected member.
   std::int64_t classify(const tensor& image, rng& gen) const;
-
-  /// Batched random-selection classify: predictions [N] for images
-  /// [N,C,H,W]. Sample i draws its member from rng{seed}.fork(i) — exactly
-  /// the stream a serial loop `classify(image_i, root.fork(i))` would use —
-  /// then the batch is partitioned by selected member and each member runs
-  /// ONE batched forward over its sub-batch (two large GEMM groups instead
-  /// of N small ones). Bit-identical to the serial loop.
-  tensor classify_batch(const tensor& images, std::uint64_t seed) const;
 
   /// Accuracy of the random-selection policy over a test set.
   float accuracy(const tensor& images, const tensor& labels, rng& gen) const;
@@ -37,14 +24,5 @@ private:
   model* first_;
   model* second_;
 };
-
-/// Per-sample member draw of the random-selection policy: element m of the
-/// result lists the rows member m serves (0 = first). Sample i draws from
-/// rng{seed}.fork(stream_ids[i]) — fork(i) when `stream_ids` is empty —
-/// exactly the stream a serial `classify(image_i, root.fork(...))` loop
-/// consumes. Shared by classify_batch and serve::ensemble_backend so the
-/// draw can never diverge between the batched paths.
-std::array<std::vector<std::int64_t>, 2> select_members(
-    std::int64_t n, std::uint64_t seed, const std::vector<std::int64_t>& stream_ids = {});
 
 }  // namespace pelta::models

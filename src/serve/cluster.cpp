@@ -134,7 +134,7 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
     held.clear();
     canonical(fresh);
     canonical(requeue);
-    // Held-but-never-routed requests keep requeued=false in their decision.
+    // Held-but-never-routed requests re-arrive fresh: they do not count in `requeued`.
     for (std::size_t r : fresh) {
       push_event(stamp, ev_arrival, static_cast<std::int64_t>(r), 0);
       ++pending_arrivals;
@@ -183,7 +183,6 @@ cluster_plan plan_cluster(const cluster_config& config, const std::vector<double
       break;
     }
     PELTA_CHECK_MSG(pick >= 0, "router found no live replica despite live=" << live);
-    plan.decisions.push_back(route_decision{req, at_ns, pick, requeued});
     ++plan.routed_per_slot[static_cast<std::size_t>(pick)];
     if (requeued) ++plan.requeued;
 

@@ -64,8 +64,8 @@ struct chaos_event {
 
 struct cluster_config {
   std::int64_t replicas = 2;  ///< fleet size; every slot is live at time 0
-  /// Per-replica server: batching policy, simulated cost model, optional
-  /// preprocessor chain. Every replica is configured identically.
+  /// Per-replica server: batching policy, simulated cost model, pipeline
+  /// depth. Every replica is configured identically.
   server_config server;
   std::vector<chaos_event> chaos;  ///< any order; sorted by the planner
 };
@@ -83,17 +83,8 @@ struct planned_cluster_batch {
   double planned_finish_ns = 0.0;
 };
 
-/// One routing decision, in simulated chronological order.
-struct route_decision {
-  std::size_t request = 0;  ///< workload index
-  double at_ns = 0.0;
-  std::int64_t replica = -1;
-  bool requeued = false;  ///< re-route after a kill
-};
-
 struct cluster_plan {
   std::vector<planned_cluster_batch> batches;  ///< in creation (open) order
-  std::vector<route_decision> decisions;
   /// Per workload index: the slot whose surviving batch serves it.
   std::vector<std::int64_t> final_replica;
   /// Routing decisions per slot, requeues included.
@@ -143,8 +134,6 @@ public:
   /// Plan and execute a complete workload. One pool task per replica slot;
   /// bit-identical report at every PELTA_THREADS.
   cluster_report run(const std::vector<classify_request>& workload);
-
-  const cluster_config& config() const { return config_; }
 
 private:
   shielded_backend* backend_;

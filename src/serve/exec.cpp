@@ -11,7 +11,7 @@
 namespace pelta::serve::exec {
 
 tensor gather_batch(const std::vector<classify_request>& requests,
-                    const std::vector<std::size_t>& members, const server_config& config) {
+                    const std::vector<std::size_t>& members) {
   PELTA_CHECK(!members.empty());
   const tensor& first = requests[members.front()].image;
   PELTA_CHECK_MSG(first.ndim() == 3, "classify_request.image must be [C,H,W]");
@@ -19,21 +19,13 @@ tensor gather_batch(const std::vector<classify_request>& requests,
   for (std::int64_t d : first.shape()) batched.push_back(d);
   tensor out{batched};
 
-  const bool chained = config.chain != nullptr && !config.chain->empty();
-  const rng chain_root{config.chain_seed};
   const std::int64_t stride = first.numel();
   parallel_for(static_cast<std::int64_t>(members.size()), [&](std::int64_t r) {
     const classify_request& request = requests[members[static_cast<std::size_t>(r)]];
     PELTA_CHECK_MSG(request.image.shape() == first.shape(),
                     "request image shape mismatch inside one batch");
-    auto row = out.data().begin() + r * stride;
-    if (chained) {
-      rng gen = chain_root.fork(static_cast<std::uint64_t>(request.id));
-      const tensor pre = config.chain->apply(request.image, gen);
-      std::copy(pre.data().begin(), pre.data().end(), row);
-    } else {
-      std::copy(request.image.data().begin(), request.image.data().end(), row);
-    }
+    std::copy(request.image.data().begin(), request.image.data().end(),
+              out.data().begin() + r * stride);
   });
   return out;
 }
@@ -133,8 +125,8 @@ batch_run run_batches(const std::vector<classify_request>& requests,
   const auto launch_gather = [&](std::size_t pos) {
     slot& s = ring[pos % ring.size()];
     s.pos = pos;
-    s.gather = submit_task([&requests, &batches, &config, &s] {
-      s.model_batch = gather_batch(requests, batches[s.pos].batch->members, config);
+    s.gather = submit_task([&requests, &batches, &s] {
+      s.model_batch = gather_batch(requests, batches[s.pos].batch->members);
     });
   };
   std::size_t next_gather = std::min(depth, total);

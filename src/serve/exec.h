@@ -1,13 +1,14 @@
 // The batch executor of the serving runtime, shared by serve::server and
 // every serve::cluster replica.
 //
-// run_batches is the one place a planned batch meets the enclave: gather ->
-// begin_batch -> backend forward + shield -> end_batch -> logits shape check
-// -> simulated busy-chain -> batch_record -> scatter. The single server and
-// each cluster replica call it with their own enclave_session, so a request
-// served by either goes through byte-for-byte the same code — half of the
-// cluster-vs-single-server logit bit-identity contract (the other half is
-// the kernels' batch-size invariance).
+// run_batches is the one place a planned batch meets the enclave: gather (a
+// plain copy of the request images) -> begin_batch -> backend forward +
+// shield -> end_batch -> logits shape check -> simulated busy-chain ->
+// batch_record -> scatter. The single server and each cluster replica call
+// it with their own enclave_session, so a request served by either goes
+// through byte-for-byte the same code — half of the cluster-vs-single-server
+// logit bit-identity contract (the other half is the kernels' batch-size
+// invariance).
 #pragma once
 
 #include <cstddef>
@@ -18,13 +19,10 @@
 
 namespace pelta::serve::exec {
 
-/// Gather the batch's request images into one [B,C,H,W] model batch,
-/// applying the software-defense chain in place when one is configured.
-/// Pool-parallel and deterministic: each row writes only its own slice and
-/// forks its chain stream from the request id, so a request's preprocessed
-/// pixels depend on neither batch composition nor thread count.
+/// Gather the batch's request images into one [B,C,H,W] model batch.
+/// Pool-parallel and deterministic: each row copies only its own slice.
 tensor gather_batch(const std::vector<classify_request>& requests,
-                    const std::vector<std::size_t>& members, const server_config& config);
+                    const std::vector<std::size_t>& members);
 
 /// Scatter one executed batch into the per-request result rows. Writes only
 /// the rows `batch.members` owns into the pre-sized results vector, so

@@ -27,10 +27,10 @@ struct batch_policy {
 /// One single-sample classify call from a client.
 struct classify_request {
   /// Caller-assigned: the tie-break after submit_ns in the canonical
-  /// dispatch order, and the stream randomized policies (ensemble member
-  /// draw, preprocessor chains) fork from. Must be unique within a drained
-  /// set for full producer-interleaving independence — two requests that
-  /// share BOTH submit_ns and id retain queue push order.
+  /// dispatch order, and the `request_id` its result carries back. Must be
+  /// unique within a drained set for full producer-interleaving
+  /// independence — two requests that share BOTH submit_ns and id retain
+  /// queue push order.
   std::int64_t id = 0;
   tensor image;             ///< [C,H,W]
   double submit_ns = 0.0;   ///< simulated arrival time

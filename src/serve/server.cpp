@@ -1,7 +1,5 @@
 #include "serve/server.h"
 
-#include <algorithm>
-#include <array>
 #include <utility>
 
 #include "serve/exec.h"
@@ -9,7 +7,7 @@
 
 namespace pelta::serve {
 
-// ---- backends ---------------------------------------------------------------
+// ---- backend ----------------------------------------------------------------
 
 model_backend::model_backend(const models::model& m, std::string key_prefix)
     : model_{&m}, key_prefix_{std::move(key_prefix) + m.name() + "/"} {}
@@ -29,60 +27,6 @@ tensor model_backend::run_batch(const tensor& images, const std::vector<std::int
     stats->shield_bytes = view.report().total_bytes();
   }
   return fp.graph.value(fp.logits);
-}
-
-ensemble_backend::ensemble_backend(const models::random_selection_ensemble& ensemble,
-                                   std::uint64_t seed, std::string key_prefix)
-    : ensemble_{&ensemble}, seed_{seed}, key_prefix_{std::move(key_prefix)} {
-  PELTA_CHECK_MSG(ensemble.first().num_classes() == ensemble.second().num_classes(),
-                  "ensemble members disagree on the class count");
-}
-
-tensor ensemble_backend::run_batch(const tensor& images, const std::vector<std::int64_t>& ids,
-                                   tee::secure_store& sink, batch_stats* stats) {
-  const std::int64_t b = images.size(0);
-  PELTA_CHECK_MSG(static_cast<std::int64_t>(ids.size()) == b,
-                  "ensemble_backend needs one request id per batch row");
-  const std::int64_t stride = images.numel() / b;
-  // Per-request member draw, forked by request id — stable no matter which
-  // batch the request landed in.
-  const std::array<std::vector<std::int64_t>, 2> member_rows =
-      models::select_members(b, seed_, ids);
-
-  tensor logits{shape_t{b, num_classes()}};
-  batch_stats total;
-  for (std::size_t m = 0; m < 2; ++m) {
-    const std::vector<std::int64_t>& rows = member_rows[m];
-    if (rows.empty()) continue;
-    const models::model& member = m == 0 ? ensemble_->first() : ensemble_->second();
-
-    shape_t sub_shape{static_cast<std::int64_t>(rows.size())};
-    for (std::int64_t d = 1; d < images.ndim(); ++d) sub_shape.push_back(images.size(d));
-    tensor sub{sub_shape};
-    for (std::size_t r = 0; r < rows.size(); ++r)
-      std::copy(images.data().begin() + rows[r] * stride,
-                images.data().begin() + (rows[r] + 1) * stride,
-                sub.data().begin() + static_cast<std::int64_t>(r) * stride);
-
-    models::forward_pass fp = member.forward(sub, ad::norm_mode::eval);
-    const shield::masked_view view = shield::shield_batch(
-        fp.graph, member.shield_frontier_tags(), sink, key_prefix_ + member.name() + "/");
-    PELTA_CHECK_MSG(view.value_accessible(fp.logits),
-                    "shield frontier reached the logits of ensemble member '"
-                        << member.name() << "'; nothing left to serve");
-    total.masked_transforms +=
-        static_cast<std::int64_t>(view.report().masked_transforms.size());
-    total.shield_bytes += view.report().total_bytes();
-
-    const tensor& sub_logits = fp.graph.value(fp.logits);
-    const std::int64_t classes = num_classes();
-    for (std::size_t r = 0; r < rows.size(); ++r)
-      std::copy(sub_logits.data().begin() + static_cast<std::int64_t>(r) * classes,
-                sub_logits.data().begin() + static_cast<std::int64_t>(r + 1) * classes,
-                logits.data().begin() + rows[r] * classes);
-  }
-  if (stats != nullptr) *stats = total;
-  return logits;
 }
 
 // ---- server -----------------------------------------------------------------

@@ -17,27 +17,24 @@
 //
 // Wall execution is the batch executor exec::run_batches (exec.h), the same
 // loop every cluster replica runs: up to `pipeline_depth` batches are in
-// flight, gather/preprocess and scatter/argmax overlap across batches as
-// pool tasks, and the enclave forward+shield stage stays serialized in
+// flight, gather and scatter/argmax overlap across batches as pool tasks,
+// and the enclave forward+shield stage stays serialized in
 // batch order through the single enclave_session (it is stateful —
 // begin_batch/end_batch brackets never interleave). Results commit strictly
 // in batch order, so every report field is bit-identical to the strictly
 // sequential chain (depth 1) — only wall-clock changes.
 //
 // Determinism contract: batches execute in planned order, each request's
-// logits row is bit-identical to a batch-1 forward of that sample, work
+// logits row is bit-identical to a batch-1 forward of that sample, and work
 // inside a batch parallelizes only through the bit-stable kernel/pool
-// layers, and randomized policies (ensemble member choice, preprocessor
-// chains) fork their stream from the request id — never from batch
-// composition, thread count, or wall-clock.
+// layers, so no result depends on batch composition, thread count, or
+// wall-clock.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "core/cost_model.h"
-#include "defenses/preprocessor.h"
-#include "models/ensemble.h"
 #include "models/model.h"
 #include "serve/batcher.h"
 #include "serve/request.h"
@@ -60,7 +57,7 @@ public:
   virtual std::int64_t num_classes() const = 0;
 
   /// images [B,C,H,W] -> logits [B, classes]. `ids` are the request ids of
-  /// the rows (the fork streams for per-request randomized policies).
+  /// the rows.
   virtual tensor run_batch(const tensor& images, const std::vector<std::int64_t>& ids,
                            tee::secure_store& sink, batch_stats* stats) = 0;
 };
@@ -80,36 +77,12 @@ private:
   std::string key_prefix_;
 };
 
-/// Random-selection ensemble (MULDEF policy): each request's member is
-/// drawn from rng{seed}.fork(request id); the batch is partitioned by
-/// member and each member runs one batched forward + shield over its
-/// sub-batch.
-class ensemble_backend final : public shielded_backend {
-public:
-  ensemble_backend(const models::random_selection_ensemble& ensemble, std::uint64_t seed,
-                   std::string key_prefix = "serve/");
-
-  std::int64_t num_classes() const override { return ensemble_->first().num_classes(); }
-  tensor run_batch(const tensor& images, const std::vector<std::int64_t>& ids,
-                   tee::secure_store& sink, batch_stats* stats) override;
-
-private:
-  const models::random_selection_ensemble* ensemble_;
-  std::uint64_t seed_;
-  std::string key_prefix_;
-};
-
 struct server_config {
   batch_policy policy;
 
   /// Modeled compute price of a batch on the simulated clock
   /// (core/cost_model.h): every executed batch costs cost.batch_ns(size).
   core::cost_model cost;
-
-  /// Optional software-defense chain applied per request before batching;
-  /// sample streams fork from the request id under `chain_seed`.
-  const defenses::preprocessor_chain* chain = nullptr;
-  std::uint64_t chain_seed = 0x5e17e;
 
   /// Max batches in flight in the batch executor (exec.h): gathers
   /// run up to this many batches ahead of the serialized enclave stage

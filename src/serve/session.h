@@ -35,8 +35,6 @@ public:
   /// every store is one switchless hot call.
   tee::secure_store& port() { return port_; }
 
-  tee::enclave& owner() { return *enclave_; }
-
   /// What one bracketed batch charged the cost model.
   struct batch_charge {
     double enclave_ns = 0.0;    ///< modeled latency (handoffs + marshalled bytes)

@@ -22,33 +22,20 @@ void hotcall_server::worker_loop() {
     if (state_.load(std::memory_order_acquire) == slot_state::ready) {
       request& r = *slot_;
       try {
-        switch (r.kind) {
-          case op::store:
-            enclave_->store(r.key, *r.in);
-            break;
-          case op::load:
-            r.out = enclave_->load(r.key);
-            break;
-          case op::contains:
-            r.flag = enclave_->contains(r.key);
-            break;
-          case op::erase:
-            enclave_->erase(r.key);
-            break;
-        }
-      } catch (const std::exception& ex) {
-        r.error_message = ex.what();
+        enclave_->store(*r.key, *r.value);
+      } catch (...) {
+        r.failure = std::current_exception();
       }
       state_.store(slot_state::done, std::memory_order_release);
     } else {
       if (stop_.load(std::memory_order_acquire)) return;
-      worker_polls_.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::yield();
     }
   }
 }
 
-void hotcall_server::call(request& r) {
+void hotcall_server::store(const std::string& key, const tensor& value) {
+  request r{&key, &value, nullptr};
   const sync::lock_guard lock{client_mutex_};
   slot_ = &r;
   state_.store(slot_state::ready, std::memory_order_release);
@@ -56,59 +43,23 @@ void hotcall_server::call(request& r) {
   state_.store(slot_state::empty, std::memory_order_release);
 
   // Modeled cost: one polled handoff plus the bytes that crossed the slot.
-  std::int64_t bytes = 0;
-  if (r.in != nullptr) bytes += r.in->byte_size();
-  if (r.out.has_value()) bytes += r.out->byte_size();
-  const double ns =
-      enclave_->costs().hotcall_ns + static_cast<double>(bytes) * enclave_->costs().per_byte_ns;
+  const double ns = enclave_->costs().hotcall_ns +
+                    static_cast<double>(value.byte_size()) * enclave_->costs().per_byte_ns;
   simulated_ns_ += ns;
   enclave_->charge_ns(ns);
   ++calls_;
 
-  if (!r.error_message.empty()) throw error{r.error_message};
-}
-
-void hotcall_server::store(const std::string& key, const tensor& value) {
-  request r;
-  r.kind = op::store;
-  r.key = key;
-  r.in = &value;
-  call(r);
-}
-
-tensor hotcall_server::load(const std::string& key) {
-  request r;
-  r.kind = op::load;
-  r.key = key;
-  call(r);
-  PELTA_CHECK_MSG(r.out.has_value(), "hotcall load returned nothing");
-  return std::move(*r.out);
-}
-
-bool hotcall_server::contains(const std::string& key) {
-  request r;
-  r.kind = op::contains;
-  r.key = key;
-  call(r);
-  return r.flag;
-}
-
-void hotcall_server::erase(const std::string& key) {
-  request r;
-  r.kind = op::erase;
-  r.key = key;
-  call(r);
+  if (r.failure) std::rethrow_exception(r.failure);
 }
 
 hotcall_stats hotcall_server::statistics() const {
-  // calls_ / simulated_ns_ are written by call() under client_mutex_; reading
-  // them lock-free here raced concurrent callers (surfaced by the clang
-  // thread-safety sweep — the serve enclave_session meters per-batch deltas
-  // through this accessor while producers may still be pushing).
+  // calls_ / simulated_ns_ are written by store() under client_mutex_;
+  // reading them lock-free here raced concurrent callers (surfaced by the
+  // clang thread-safety sweep — the serve enclave_session meters per-batch
+  // deltas through this accessor while producers may still be pushing).
   const sync::lock_guard lock{client_mutex_};
   hotcall_stats s;
   s.calls = calls_;
-  s.worker_polls = worker_polls_.load(std::memory_order_relaxed);
   s.simulated_ns = simulated_ns_;
   return s;
 }

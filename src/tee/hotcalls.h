@@ -1,24 +1,25 @@
-// Switchless enclave calls — HotCalls (Weisse et al., ISCA'17), the
+// Switchless enclave stores — HotCalls (Weisse et al., ISCA'17), the
 // optimization §VI points at when it notes that "minimizing context
 // switches is an important optimization technique in the design of TEE
 // applications".
 //
-// Instead of paying an ecall/SMC world switch per operation, a dedicated
+// Instead of paying an ecall/SMC world switch per store, a dedicated
 // worker thread stays inside the enclave and polls a shared request slot.
-// The normal world publishes a request, spins until the worker marks it
+// The normal world publishes a store, spins until the worker marks it
 // done, and never transitions privilege levels. This file implements the
 // mechanism for real (an SPSC slot on C++ atomics with acquire/release
 // hand-off, served by an actual worker thread), while the latency model
 // charges the measured-in-literature ≈0.6 µs per call instead of the
 // multi-µs switch.
 //
-// Discipline: while a hotcall_server is attached, ALL enclave operations
-// must go through it (the worker owns the enclave; this is exactly the
-// single-consumer assumption HotCalls make).
+// The slot carries one op, `store` — the only crossing the shield's masked
+// tensors need. Discipline: while a hotcall_server is attached, the worker
+// owns the enclave (the single-consumer assumption HotCalls make); read the
+// contents back after it shuts down, under a tee::secure_session.
 #pragma once
 
 #include <atomic>
-#include <optional>
+#include <exception>
 #include <thread>
 
 #include "core/sync.h"
@@ -28,8 +29,7 @@ namespace pelta::tee {
 
 struct hotcall_stats {
   std::int64_t calls = 0;
-  std::int64_t worker_polls = 0;  ///< spin iterations on the worker side
-  double simulated_ns = 0.0;      ///< modeled cost of all calls (handoff + bytes)
+  double simulated_ns = 0.0;  ///< modeled cost of all calls (handoff + bytes)
 };
 
 class hotcall_server {
@@ -44,36 +44,23 @@ public:
   hotcall_server(const hotcall_server&) = delete;
   hotcall_server& operator=(const hotcall_server&) = delete;
 
-  // ---- normal-world call interface (thread-safe, serialized) -----------------
-
-  /// Store `value` under `key` inside the enclave.
-  void store(const std::string& key, const tensor& value);
-
-  /// Privileged read-back of an enclave entry. The worker executes the load
-  /// in the secure world; the result is copied out through the shared slot
-  /// (charged per byte). Throws whatever the enclave op threw.
-  tensor load(const std::string& key);
-
-  bool contains(const std::string& key);
-  void erase(const std::string& key);
+  /// Store `value` under `key` inside the enclave (thread-safe, serialized).
+  /// Rethrows, with its type, whatever the enclave store threw (e.g.
+  /// enclave_capacity_error); the call is charged either way.
+  void store(const std::string& key, const tensor& value) PELTA_EXCLUDES(client_mutex_);
 
   hotcall_stats statistics() const;
 
 private:
-  enum class op : std::uint8_t { store, load, contains, erase };
   enum class slot_state : int { empty, ready, done };
 
   struct request {
-    op kind = op::store;
-    std::string key;
-    const tensor* in = nullptr;
-    std::optional<tensor> out;
-    bool flag = false;
-    std::string error_message;
+    const std::string* key = nullptr;
+    const tensor* value = nullptr;
+    std::exception_ptr failure;
   };
 
   void worker_loop();
-  void call(request& r) PELTA_EXCLUDES(client_mutex_);
 
   enclave* enclave_;
   // The HotCalls design point: a dedicated thread parked INSIDE the enclave
@@ -85,9 +72,8 @@ private:
   // slot_ carries no GUARDED_BY: the worker reads it without client_mutex_,
   // synchronized instead by the state_ acquire/release handoff (publish
   // happens-before ready, done happens-before the client's next touch).
-  request* slot_ = nullptr;  // published by call(), consumed by the worker
+  request* slot_ = nullptr;  // published by store(), consumed by the worker
   mutable sync::mutex client_mutex_;  // serializes normal-world callers (SPSC slot)
-  std::atomic<std::int64_t> worker_polls_{0};
   std::int64_t calls_ PELTA_GUARDED_BY(client_mutex_) = 0;
   double simulated_ns_ PELTA_GUARDED_BY(client_mutex_) = 0.0;
 };

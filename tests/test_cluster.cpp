@@ -230,10 +230,16 @@ TEST(ClusterPlan, HeldRequestsFlushAtTheRestart) {
   const serve::cluster_plan plan = serve::plan_cluster(config, stamps, ids);
   expect_exactly_once_coverage(plan, stamps.size());
   EXPECT_EQ(plan.final_replica[2], 0);
-  // The held request routes when the restart lands, not at its own stamp.
-  const serve::route_decision& d = plan.decisions.back();
-  EXPECT_EQ(d.request, 2u);
-  EXPECT_EQ(d.at_ns, 6e8);
+  // The held request routes when the restart lands, not at its own stamp:
+  // the surviving batch that serves it opens on replica 0 at the restart.
+  const serve::planned_cluster_batch* held = nullptr;
+  for (const serve::planned_cluster_batch& pb : plan.batches) {
+    const std::vector<std::size_t>& m = pb.batch.members;
+    if (!pb.aborted && std::find(m.begin(), m.end(), std::size_t{2}) != m.end()) held = &pb;
+  }
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(held->replica, 0);
+  EXPECT_EQ(held->batch.open_ns, 6e8);
 }
 
 // ---- golden schedule (plan level) ------------------------------------------

@@ -33,10 +33,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/pelta.h"
-#include "defenses/defended.h"
 #include "models/vit.h"
 #include "serve/server.h"
+#include "shield/shield.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
 
@@ -343,7 +342,11 @@ TEST_F(ServeTest, TeeCostsChargedPerBatchNotPerRequest) {
 
   tee::enclave enclave;
   serve::model_backend backend{model_};
-  serve::server srv{backend, enclave, serve::server_config{{32, 2e6}, 2e5, 1e6, nullptr, 1}};
+  serve::server_config cfg;
+  cfg.policy = {32, 2e6};
+  cfg.cost.batch_setup_ns = 2e5;
+  cfg.cost.compute_ns_per_sample = 1e6;
+  serve::server srv{backend, enclave, cfg};
   const serve::serving_report batched = srv.run(reqs);
   ASSERT_EQ(batched.batches.size(), 1u);
   EXPECT_EQ(srv.session().accumulated().batches, 1);
@@ -365,50 +368,6 @@ TEST_F(ServeTest, TeeCostsChargedPerBatchNotPerRequest) {
       << "batched session should amortize TEE costs by far more than 3x";
   EXPECT_EQ(serial_enclave.statistics().world_switches,
             2 * serial_enclave.statistics().stores);
-}
-
-TEST_F(ServeTest, ChainedServerMatchesPerRequestChainAndForward) {
-  const defenses::preprocessor_chain chain = defenses::make_chain("noise");
-  const std::int64_t n = 10;
-  const std::vector<serve::classify_request> reqs =
-      make_requests(n, std::vector<double>(static_cast<std::size_t>(n), 0.0));
-
-  tee::enclave enclave;
-  serve::model_backend backend{model_};
-  serve::server_config cfg;
-  cfg.policy = {16, 1e6};
-  cfg.chain = &chain;
-  cfg.chain_seed = 77;
-  serve::server srv{backend, enclave, cfg};
-  const serve::serving_report report = srv.run(reqs);
-
-  // Serial reference: chain per request under the fork(request id) stream,
-  // then a batch-1 forward — the server's chained gather must match it bitwise.
-  const rng root{77};
-  for (std::int64_t i = 0; i < n; ++i) {
-    rng gen = root.fork(static_cast<std::uint64_t>(reqs[static_cast<std::size_t>(i)].id));
-    const tensor pre = chain.apply(reqs[static_cast<std::size_t>(i)].image, gen);
-    models::forward_pass fp =
-        model_.forward(pre.reshape(shape_t{1, 3, 16, 16}), ad::norm_mode::eval);
-    const tensor& logits = fp.graph.value(fp.logits);
-    EXPECT_TRUE(bits_equal(report.results[static_cast<std::size_t>(i)].logits,
-                           logits.reshape(shape_t{logits.numel()})))
-        << "chained request " << i;
-  }
-}
-
-TEST_F(ServeTest, CoreClassifyBatchMatchesClassify) {
-  defended_model defended{std::make_unique<models::vit_model>(tiny_vit_config())};
-  rng gen{5};
-  const tensor images = tensor::rand_uniform(gen, {9, 3, 16, 16});
-  const tensor batched = defended.classify_batch(images);
-  ASSERT_EQ(batched.numel(), 9);
-  for (std::int64_t i = 0; i < 9; ++i) {
-    tensor image{shape_t{3, 16, 16}};
-    std::copy(images.data().begin() + i * 3 * 16 * 16,
-              images.data().begin() + (i + 1) * 3 * 16 * 16, image.data().begin());
-    EXPECT_EQ(static_cast<std::int64_t>(batched[i]), defended.classify(image)) << "sample " << i;
-  }
 }
 
 TEST_F(ServeTest, QueueAcceptsManyProducersAndDrainsDeterministically) {
@@ -643,6 +602,19 @@ TEST_F(ServeTest, MidPipelineBackendThrowKeepsSessionAndQueueConsistent) {
   }
 }
 
+// The enclave's capacity error crosses the hotcall slot and the batch
+// executor with its type, so a caller can tell an undersized enclave from
+// any other failure.
+TEST_F(ServeTest, UndersizedEnclaveThrowsCapacityError) {
+  const std::int64_t n = 4;
+  const std::vector<serve::classify_request> reqs =
+      make_requests(n, std::vector<double>(static_cast<std::size_t>(n), 0.0));
+  tee::enclave enclave{64};  // far below one batch's masked tensors
+  serve::model_backend backend{model_};
+  serve::server srv{backend, enclave, serve::server_config{}};
+  EXPECT_THROW(srv.run(reqs), tee::enclave_capacity_error);
+}
+
 TEST_F(ServeTest, OneBatchDrainsAgreeAcrossWidthAndDepth) {
   // The open-loop serving shape: one long-lived server whose every drain()
   // holds 1-3 requests, so each run is a single batch through the
@@ -730,97 +702,7 @@ TEST(RequestQueue, ProducersRacingCloseGetRejectionsNotAborts) {
   EXPECT_EQ(static_cast<std::int64_t>(q.drain().size()), accepted.load());
 }
 
-// ---- batched entry points of the lower layers -------------------------------
-
-TEST(ServeBatchedEntries, EnsembleBackendMatchesPerRequestSelection) {
-  models::vit_model first{tiny_vit_config(31)};
-  models::vit_model second{tiny_vit_config(77)};
-  models::random_selection_ensemble ensemble{first, second};
-  const std::uint64_t seed = 123;
-
-  const std::int64_t n = 21;
-  const std::vector<serve::classify_request> reqs =
-      make_requests(n, std::vector<double>(static_cast<std::size_t>(n), 0.0));
-
-  tee::enclave enclave;
-  serve::ensemble_backend backend{ensemble, seed};
-  serve::server_config cfg;
-  cfg.policy = {32, 1e6};
-  serve::server srv{backend, enclave, cfg};
-  const serve::serving_report report = srv.run(reqs);
-
-  const rng root{seed};
-  for (std::int64_t i = 0; i < n; ++i) {
-    rng gen = root.fork(static_cast<std::uint64_t>(reqs[static_cast<std::size_t>(i)].id));
-    const models::model& member = gen.bernoulli(0.5) ? first : second;
-    EXPECT_EQ(report.results[static_cast<std::size_t>(i)].predicted,
-              models::predict_one(member, reqs[static_cast<std::size_t>(i)].image))
-        << "request " << i;
-  }
-}
-
-TEST(ServeBatchedEntries, EnsembleClassifyBatchMatchesSerialLoop) {
-  models::vit_model first{tiny_vit_config(31)};
-  models::vit_model second{tiny_vit_config(77)};
-  models::random_selection_ensemble ensemble{first, second};
-
-  rng gen{2};
-  const tensor images = tensor::rand_uniform(gen, {15, 3, 16, 16});
-  const tensor batched = ensemble.classify_batch(images, 55);
-
-  const rng root{55};
-  for (std::int64_t i = 0; i < 15; ++i) {
-    tensor image{shape_t{3, 16, 16}};
-    std::copy(images.data().begin() + i * 3 * 16 * 16,
-              images.data().begin() + (i + 1) * 3 * 16 * 16, image.data().begin());
-    rng fork = root.fork(static_cast<std::uint64_t>(i));
-    EXPECT_EQ(static_cast<std::int64_t>(batched[i]), ensemble.classify(image, fork));
-  }
-}
-
-TEST(ServeBatchedEntries, DefendedPredictBatchMatchesPerSamplePath) {
-  models::vit_model model{tiny_vit_config()};
-  const defenses::preprocessor_chain chain = defenses::make_chain("noise+quantize");
-  const defenses::defended_model defended{model, chain, /*votes=*/3};
-
-  rng gen{4};
-  const tensor images = tensor::rand_uniform(gen, {11, 3, 16, 16});
-  const std::uint64_t seed = 99;
-  const tensor batched = defended.predict_batch(images, seed);
-
-  const rng root{seed};
-  for (std::int64_t i = 0; i < 11; ++i) {
-    tensor image{shape_t{3, 16, 16}};
-    std::copy(images.data().begin() + i * 3 * 16 * 16,
-              images.data().begin() + (i + 1) * 3 * 16 * 16, image.data().begin());
-    rng fork = root.fork(static_cast<std::uint64_t>(i));
-    EXPECT_EQ(static_cast<std::int64_t>(batched[i]), defended.predict_one(image, fork))
-        << "sample " << i;
-  }
-}
-
-TEST(ServeBatchedEntries, ApplyChainBatchForksPerStreamId) {
-  const defenses::preprocessor_chain chain = defenses::make_chain("noise");
-  rng gen{6};
-  const tensor images = tensor::rand_uniform(gen, {5, 3, 16, 16});
-  const std::vector<std::int64_t> ids{40, 41, 42, 43, 44};
-  const tensor batch = defenses::apply_chain_batch(chain, images, 11, ids);
-
-  // Each row must match a lone application under the same forked stream —
-  // randomness depends on the request id, never on batch composition.
-  const rng root{11};
-  for (std::int64_t i = 0; i < 5; ++i) {
-    tensor image{shape_t{3, 16, 16}};
-    std::copy(images.data().begin() + i * 3 * 16 * 16,
-              images.data().begin() + (i + 1) * 3 * 16 * 16, image.data().begin());
-    rng fork = root.fork(static_cast<std::uint64_t>(ids[static_cast<std::size_t>(i)]));
-    const tensor lone = chain.apply(image, fork);
-    tensor row{shape_t{3, 16, 16}};
-    std::copy(batch.data().begin() + i * 3 * 16 * 16,
-              batch.data().begin() + (i + 1) * 3 * 16 * 16, row.data().begin());
-    EXPECT_TRUE(bits_equal(lone, row)) << "stream " << ids[static_cast<std::size_t>(i)];
-  }
-}
+// ---- batched forward below the server ---------------------------------------
 
 TEST(ServeBatchedEntries, PredictLogitsRowsMatchSingleSampleForwards) {
   models::vit_model model{tiny_vit_config()};

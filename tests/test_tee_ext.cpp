@@ -36,20 +36,20 @@ TEST(Profiles, MakeEnclaveEnforcesTheProfileCapacity) {
 
 // ---- hotcalls ---------------------------------------------------------------
 
-TEST(HotCalls, StoreLoadRoundTripsThroughTheWorker) {
+TEST(HotCalls, StoresLandInTheEnclaveThroughTheWorker) {
   enclave e{1 << 20};
   rng g{3};
   const tensor v = tensor::rand_uniform(g, {4, 4});
   {
     hotcall_server server{e};
     server.store("k", v);
-    EXPECT_TRUE(server.contains("k"));
-    const tensor back = server.load("k");
-    for (std::int64_t i = 0; i < v.numel(); ++i) EXPECT_FLOAT_EQ(back[i], v[i]);
-    server.erase("k");
-    EXPECT_FALSE(server.contains("k"));
+    server.store("j", tensor::ones({2}));
   }
   EXPECT_EQ(e.current_world(), world::normal);  // returned on shutdown
+  const secure_session read{e};
+  EXPECT_EQ(e.entry_count(), 2);
+  const tensor& back = e.load("k");
+  for (std::int64_t i = 0; i < v.numel(); ++i) EXPECT_EQ(back[i], v[i]);
 }
 
 TEST(HotCalls, LifetimeCostsTwoSwitchesRegardlessOfCallCount) {
@@ -89,32 +89,34 @@ TEST(HotCalls, BeatsPerCallWorldSwitchingOnModeledLatency) {
   EXPECT_LT(hot.statistics().simulated_ns, 0.2 * classic.statistics().simulated_ns);
 }
 
-TEST(HotCalls, ErrorsPropagateToTheCaller) {
-  enclave e{1 << 20};
-  hotcall_server server{e};
-  EXPECT_THROW((void)server.load("missing"), error);
-  // the server survives the error and keeps serving
-  server.store("x", tensor::ones({2}));
-  EXPECT_TRUE(server.contains("x"));
-}
-
-TEST(HotCalls, CapacityErrorsCrossTheSlotToo) {
+TEST(HotCalls, CapacityErrorsKeepTheirTypeAndTheServerKeepsServing) {
   enclave e{64};  // tiny enclave
-  hotcall_server server{e};
-  EXPECT_THROW(server.store("big", tensor::zeros({1024})), error);
+  {
+    hotcall_server server{e};
+    EXPECT_THROW(server.store("big", tensor::zeros({1024})), enclave_capacity_error);
+    server.store("x", tensor::ones({2}));  // the worker survives the error
+    EXPECT_EQ(server.statistics().calls, 2);  // the failed call is charged too
+  }
+  const secure_session read{e};
+  EXPECT_FALSE(e.contains("big"));
+  ASSERT_TRUE(e.contains("x"));
+  EXPECT_EQ(e.load("x")[1], 1.0f);
 }
 
 TEST(HotCalls, SustainsManySerializedCalls) {
   enclave e{1 << 22};
-  hotcall_server server{e};
-  for (std::int64_t i = 0; i < 300; ++i) {
-    server.store("slot", tensor::full({4}, static_cast<float>(i)));
-    const tensor back = server.load("slot");
-    ASSERT_FLOAT_EQ(back[0], static_cast<float>(i));
+  {
+    hotcall_server server{e};
+    for (std::int64_t i = 0; i < 300; ++i)
+      server.store("slot", tensor::full({4}, static_cast<float>(i)));
+    const hotcall_stats s = server.statistics();
+    EXPECT_EQ(s.calls, 300);
+    EXPECT_GT(s.simulated_ns, 0.0);
   }
-  const hotcall_stats s = server.statistics();
-  EXPECT_EQ(s.calls, 600);
-  EXPECT_GT(s.simulated_ns, 0.0);
+  EXPECT_EQ(e.statistics().stores, 300);
+  const secure_session read{e};
+  EXPECT_EQ(e.entry_count(), 1);
+  EXPECT_EQ(e.load("slot")[3], 299.0f);  // the last store won
 }
 
 // ---- §VI secure update channel ---------------------------------------------------
