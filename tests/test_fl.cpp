@@ -2,11 +2,13 @@
 // client of Fig. 1, and network accounting.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "fl/federation.h"
 #include "models/trainer.h"
 #include "models/vit.h"
+#include "tee/sealing.h"
 #include "tensor/ops.h"
 
 namespace pelta::fl {
@@ -228,6 +230,125 @@ TEST(Federation, AdversarialExampleTransfersToVictim) {
   }
   ASSERT_GT(crafted, 0);
   EXPECT_EQ(transferred, crafted);  // identical weights -> perfect replay
+}
+
+// ---- golden: the runtime's bits, pinned -----------------------------------
+// Hashes and hex-float clocks recorded from the runtime; any change to the
+// aggregation rules, the staleness weight, the fleet profiles, the network
+// meter or the sharding streams moves at least one of them.
+
+std::uint64_t hash_bytes(const byte_buffer& bytes, std::uint64_t h = 0xcbf29ce484222325ull) {
+  return tee::fnv1a(bytes.data(), bytes.size(), h);
+}
+
+std::uint64_t hash_double(double v, std::uint64_t h) {
+  std::uint8_t raw[sizeof(double)];
+  std::memcpy(raw, &v, sizeof(double));
+  return tee::fnv1a(raw, sizeof(raw), h);
+}
+
+/// Broadcast bytes followed by every traffic counter.
+std::uint64_t federation_hash(federation& fed) {
+  std::uint64_t h = hash_bytes(fed.server().broadcast());
+  const network_stats t = fed.traffic();
+  h = hash_double(static_cast<double>(t.messages), h);
+  h = hash_double(static_cast<double>(t.bytes), h);
+  return hash_double(t.simulated_ns, h);
+}
+
+/// The straggler example's fleet: six clients, K = 3, max staleness 6, one
+/// 6x straggler, 20% per-episode dropout.
+federation_config straggler_fleet() {
+  federation_config cfg;
+  cfg.clients = 6;
+  cfg.compromised = 0;
+  cfg.local.epochs = 1;
+  cfg.async.buffer_size = 3;
+  cfg.async.max_staleness = 6;
+  cfg.async.heterogeneity.stragglers = 1;
+  cfg.async.heterogeneity.straggler_slowdown = 6.0;
+  cfg.async.heterogeneity.dropout_rate = 0.2;
+  return cfg;
+}
+
+TEST(FederationGolden, SyncRoundsUnderEachRule) {
+  const data::dataset ds = small_dataset();
+  struct golden_case {
+    aggregation_rule rule;
+    std::int64_t clients;
+    std::uint64_t hash;
+  };
+  const golden_case cases[] = {
+      {aggregation_rule::fedavg, 5, 0xd115dff4199a9dd7ull},
+      {aggregation_rule::coordinate_median, 5, 0xb222f12dd6cbf942ull},
+      {aggregation_rule::trimmed_mean, 5, 0xc65e62aaaf1cb9c5ull},
+      {aggregation_rule::norm_clipped_mean, 5, 0xfa6a3b91f1e2f4f6ull},
+      {aggregation_rule::trimmed_mean, 2, 0xc48e59e41e32f1c1ull},  // n = 2: nothing trimmed
+  };
+  for (const golden_case& c : cases) {
+    federation_config cfg;
+    cfg.clients = c.clients;
+    cfg.local.epochs = 1;
+    cfg.aggregation = {c.rule};
+    federation fed{cfg, tiny_vit_factory(), ds};
+    fed.run_rounds(2);
+    EXPECT_EQ(federation_hash(fed), c.hash)
+        << aggregation_rule_name(c.rule) << " over " << c.clients << " clients: 0x" << std::hex
+        << federation_hash(fed);
+  }
+}
+
+TEST(FederationGolden, AsyncStragglerFleet) {
+  const data::dataset ds = small_dataset();
+  federation fed{straggler_fleet(), tiny_vit_factory(), ds};
+  const async_report r = fed.run_async(6);
+  EXPECT_EQ(r.aggregations, 6);
+  EXPECT_EQ(r.updates_applied, 18);
+  EXPECT_EQ(r.updates_dropped, 5);
+  EXPECT_EQ(r.updates_stale, 0);
+  EXPECT_EQ(r.trainings, 18);
+  EXPECT_EQ(r.simulated_ns, 0x1.39becp+25);
+  EXPECT_EQ(r.mean_staleness, 0x1.1c71c71c71c72p+0);
+  EXPECT_EQ(r.max_staleness_seen, 4);
+  const network_stats t = fed.traffic();
+  EXPECT_EQ(t.messages, 46);
+  EXPECT_EQ(t.bytes, 645840);
+  EXPECT_EQ(t.simulated_ns, 0x1.72a96p+26);
+  EXPECT_EQ(hash_bytes(fed.server().broadcast()), 0xc86a2ccf2dd5b9b3ull)
+      << std::hexfloat << r.simulated_ns << " " << r.mean_staleness << " " << t.simulated_ns
+      << " 0x" << std::hex << hash_bytes(fed.server().broadcast());
+}
+
+TEST(FederationGolden, SyncRoundClock) {
+  const data::dataset ds = small_dataset();
+  federation_config cfg = straggler_fleet();
+  cfg.participation = 0.67f;  // four of six: the straggler sits out rounds 0 and 1
+  const federation fed{cfg, tiny_vit_factory(), ds};
+  const double expected[] = {0x1.f5fep+22, 0x1.f5fep+22, 0x1.aeac8p+24};
+  for (std::int64_t r = 0; r < 3; ++r)
+    EXPECT_EQ(fed.sync_round_ns(r), expected[r]) << "round " << r << ": " << std::hexfloat
+                                                 << fed.sync_round_ns(r);
+}
+
+TEST(FederationGolden, ShardsPerStrategy) {
+  const data::dataset ds = small_dataset();
+  constexpr std::uint64_t seed = 23;
+  const std::pair<shard_strategy, std::uint64_t> cases[] = {
+      {shard_strategy::iid, 0xaa233d016cc77000ull},
+      {shard_strategy::by_class, 0xb149edf09a364fa4ull},
+      {shard_strategy::dirichlet, 0x2145a7480e5199faull},
+  };
+  for (const auto& [strategy, expected] : cases) {
+    sharding_config sc;
+    sc.strategy = strategy;
+    sc.seed = seed;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::vector<std::int64_t>& shard : make_shards(ds, 4, sc)) {
+      h = hash_double(static_cast<double>(shard.size()), h);
+      for (const std::int64_t i : shard) h = hash_double(static_cast<double>(i), h);
+    }
+    EXPECT_EQ(h, expected) << shard_strategy_name(strategy) << ": 0x" << std::hex << h;
+  }
 }
 
 }  // namespace
