@@ -44,7 +44,7 @@ struct fed_setup {
 };
 
 void run_rounds(fl::fl_server& server, const std::vector<fl::fl_client*>& clients,
-                const fed_setup& s, const fl::aggregation_config& ac) {
+                const fed_setup& s, fl::aggregation_rule rule) {
   for (std::int64_t r = 0; r < s.rounds; ++r) {
     const byte_buffer g = server.broadcast();
     std::vector<fl::model_update> updates;
@@ -52,7 +52,7 @@ void run_rounds(fl::fl_server& server, const std::vector<fl::fl_client*>& client
       c->receive_global(g);
       updates.push_back(c->local_update(s.lc));
     }
-    server.aggregate(updates, ac);
+    server.aggregate(updates, rule);
   }
 }
 
@@ -62,7 +62,7 @@ struct backdoor_outcome {
 };
 
 backdoor_outcome run_backdoor(const fed_setup& s, const fl::backdoor_config& bd,
-                              const fl::aggregation_config& ac, std::uint64_t seed) {
+                              fl::aggregation_rule rule, std::uint64_t seed) {
   fl::fl_server server{s.fresh_model(seed)};
   std::vector<std::unique_ptr<fl::fl_client>> owned;
   for (std::int64_t i = 0; i + 1 < s.clients; ++i)
@@ -72,7 +72,7 @@ backdoor_outcome run_backdoor(const fed_setup& s, const fl::backdoor_config& bd,
       s.clients - 1, s.fresh_model(seed + 99), s.shard_of(s.clients - 1), s.ds, bd));
   std::vector<fl::fl_client*> clients;
   for (auto& c : owned) clients.push_back(c.get());
-  run_rounds(server, clients, s, ac);
+  run_rounds(server, clients, s, rule);
   return {fl::backdoor_success_rate(server.global_model(), s.ds, bd, 100),
           models::accuracy(server.global_model(), s.ds.test_images(), s.ds.test_labels())};
 }
@@ -101,7 +101,7 @@ evasion_outcome run_evasion(const fed_setup& s, bool shielded, std::uint64_t see
   owned.push_back(std::move(poisoner));
   std::vector<fl::fl_client*> clients;
   for (auto& c : owned) clients.push_back(c.get());
-  run_rounds(server, clients, s, fl::aggregation_config{});
+  run_rounds(server, clients, s, fl::aggregation_rule::fedavg);
   return {fl::replay_attack_rate(server.global_model(), pp->replay_set(), pp->craft_attempts()),
           models::accuracy(server.global_model(), s.ds.test_images(), s.ds.test_labels()),
           static_cast<std::int64_t>(pp->replay_set().size()), pp->craft_attempts()};
@@ -129,15 +129,15 @@ int main() {
 
   struct row {
     const char* label;
-    fl::aggregation_config ac;
+    fl::aggregation_rule rule;
     float boost;
   };
   const row rows[] = {
-      {"FedAvg, no boost", {fl::aggregation_rule::fedavg, 0.2f, 0.0f}, 1.0f},
-      {"FedAvg, model replacement", {fl::aggregation_rule::fedavg, 0.2f, 0.0f}, bd.boost},
-      {"coordinate median", {fl::aggregation_rule::coordinate_median, 0.2f, 0.0f}, bd.boost},
-      {"trimmed mean", {fl::aggregation_rule::trimmed_mean, 0.2f, 0.0f}, bd.boost},
-      {"norm-clipped mean", {fl::aggregation_rule::norm_clipped_mean, 0.2f, 0.0f}, bd.boost},
+      {"FedAvg, no boost", fl::aggregation_rule::fedavg, 1.0f},
+      {"FedAvg, model replacement", fl::aggregation_rule::fedavg, bd.boost},
+      {"coordinate median", fl::aggregation_rule::coordinate_median, bd.boost},
+      {"trimmed mean", fl::aggregation_rule::trimmed_mean, bd.boost},
+      {"norm-clipped mean", fl::aggregation_rule::norm_clipped_mean, bd.boost},
   };
 
   text_table ta;
@@ -146,10 +146,10 @@ int main() {
   for (const row& r : rows) {
     fl::backdoor_config cfg = bd;
     cfg.boost = r.boost;
-    const backdoor_outcome o = run_backdoor(setup, cfg, r.ac, s.seed);
+    const backdoor_outcome o = run_backdoor(setup, cfg, r.rule, s.seed);
     ta.add_row({r.label, pct(o.success), pct(o.clean)});
     if (std::string{r.label} == "FedAvg, model replacement") fedavg_boosted = o.success;
-    if (r.ac.rule != fl::aggregation_rule::fedavg) best_robust = std::min(best_robust, o.success);
+    if (r.rule != fl::aggregation_rule::fedavg) best_robust = std::min(best_robust, o.success);
     std::printf("  %-28s done (success %s, clean %s)\n", r.label, pct(o.success).c_str(),
                 pct(o.clean).c_str());
     std::fflush(stdout);

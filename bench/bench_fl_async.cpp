@@ -66,15 +66,13 @@ int main() {
   cfg.local.lr = 4e-3f;
   cfg.async.buffer_size = buffer_k;
   cfg.async.max_staleness = 8;
-  cfg.async.weighting = fl::staleness_weighting::inverse_sqrt;
   cfg.async.heterogeneity.stragglers = 1;
   cfg.async.heterogeneity.straggler_slowdown = slowdown;
 
   std::printf("fleet: %lld clients, 1 straggler at %.1fx compute, buffer K=%lld, "
-              "staleness weighting %s\n",
+              "staleness weighting 1/sqrt(1+s)\n",
               static_cast<long long>(clients), slowdown,
-              static_cast<long long>(buffer_k),
-              fl::staleness_weighting_name(cfg.async.weighting));
+              static_cast<long long>(buffer_k));
   std::printf("target: %.0f%% global test accuracy (4-class task, %lld train samples)\n\n",
               100.0 * target, static_cast<long long>(ds.train_size()));
 

@@ -44,8 +44,6 @@ float run_federation(const data::dataset& ds, fl::aggregation_rule rule, float* 
   fl::local_train_config lc;
   lc.epochs = 2;
   lc.batch_size = 16;
-  fl::aggregation_config ac;
-  ac.rule = rule;
   for (std::int64_t r = 0; r < 4; ++r) {
     const byte_buffer g = server.broadcast();
     std::vector<fl::model_update> updates;
@@ -53,7 +51,7 @@ float run_federation(const data::dataset& ds, fl::aggregation_rule rule, float* 
       c->receive_global(g);
       updates.push_back(c->local_update(lc));
     }
-    server.aggregate(updates, ac);
+    server.aggregate(updates, rule);
   }
   *clean_out = models::accuracy(server.global_model(), ds.test_images(), ds.test_labels());
   return fl::backdoor_success_rate(server.global_model(), ds, bd, 100);

@@ -61,17 +61,13 @@ int main() {
     cfg.local.batch_size = 16;
     cfg.sharding.strategy = s.strategy;
     cfg.sharding.dirichlet_alpha = s.alpha;
-    cfg.aggregation.rule = fl::aggregation_rule::coordinate_median;
+    cfg.aggregation = fl::aggregation_rule::coordinate_median;
 
     auto fed = std::make_unique<fl::federation>(cfg, factory, ds);
+    // entropy over each client's label mix, via a probe shard rebuild
     double entropy = 0.0;
-    for (std::int64_t c = 0; c < cfg.clients; ++c) {
-      // entropy over the client's label mix, via a probe shard rebuild
-      fl::sharding_config probe = cfg.sharding;
-      probe.seed = cfg.seed;
-      entropy += fl::shard_label_entropy(ds, fl::make_shards(ds, cfg.clients, probe)[
-                                                 static_cast<std::size_t>(c)]);
-    }
+    for (const auto& shard : fl::make_shards(ds, cfg.clients, cfg.sharding, cfg.seed))
+      entropy += fl::shard_label_entropy(ds, shard);
     entropy /= static_cast<double>(cfg.clients);
 
     fed->run_rounds(6);

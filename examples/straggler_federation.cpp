@@ -42,7 +42,6 @@ int main() {
   cfg.local.batch_size = 16;
   cfg.async.buffer_size = 3;
   cfg.async.max_staleness = 6;
-  cfg.async.weighting = fl::staleness_weighting::inverse_sqrt;
   cfg.async.heterogeneity.stragglers = 1;
   cfg.async.heterogeneity.straggler_slowdown = 6.0;
   cfg.async.heterogeneity.dropout_rate = 0.2;

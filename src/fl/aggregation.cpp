@@ -17,28 +17,16 @@ const char* aggregation_rule_name(aggregation_rule rule) {
   return "?";
 }
 
-const char* staleness_weighting_name(staleness_weighting weighting) {
-  switch (weighting) {
-    case staleness_weighting::none: return "none";
-    case staleness_weighting::inverse_sqrt: return "1/sqrt(1+s)";
-    case staleness_weighting::inverse_linear: return "1/(1+s)";
-  }
-  return "?";
-}
-
-float staleness_weight(staleness_weighting weighting, std::int64_t staleness) {
+float staleness_weight(std::int64_t staleness) {
   PELTA_CHECK_MSG(staleness >= 0, "negative staleness " << staleness);
-  switch (weighting) {
-    case staleness_weighting::none: return 1.0f;
-    case staleness_weighting::inverse_sqrt:
-      return 1.0f / std::sqrt(1.0f + static_cast<float>(staleness));
-    case staleness_weighting::inverse_linear:
-      return 1.0f / (1.0f + static_cast<float>(staleness));
-  }
-  return 1.0f;
+  return 1.0f / std::sqrt(1.0f + static_cast<float>(staleness));
 }
 
 namespace {
+
+/// trimmed_mean: fraction trimmed from EACH side; floor(n * fraction) values
+/// are dropped per end, at least one when n >= 3.
+constexpr float k_trim_fraction = 0.2f;
 
 std::vector<tensor> decode_state(const byte_buffer& buf) {
   std::vector<tensor> out;
@@ -76,7 +64,7 @@ double delta_norm(const std::vector<tensor>& state, const std::vector<tensor>& r
 
 byte_buffer aggregate_states(const byte_buffer& reference,
                              const std::vector<model_update>& updates,
-                             const aggregation_config& config) {
+                             aggregation_rule rule) {
   PELTA_CHECK_MSG(!updates.empty(), "aggregate_states() without updates");
   const std::vector<tensor> ref = decode_state(reference);
 
@@ -97,8 +85,7 @@ byte_buffer aggregate_states(const byte_buffer& reference,
     double total = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
       const double w = static_cast<double>(updates[c].sample_count) *
-                       static_cast<double>(staleness_weight(config.staleness,
-                                                            updates[c].staleness));
+                       static_cast<double>(staleness_weight(updates[c].staleness));
       weights[c] = static_cast<float>(w);
       total += w;
     }
@@ -111,7 +98,7 @@ byte_buffer aggregate_states(const byte_buffer& reference,
   out.reserve(ref.size());
   for (const tensor& t : ref) out.emplace_back(t.shape());
 
-  switch (config.rule) {
+  switch (rule) {
     case aggregation_rule::fedavg: {
       for (std::size_t c = 0; c < n; ++c) {
         const float w = weights[c];
@@ -139,14 +126,9 @@ byte_buffer aggregate_states(const byte_buffer& reference,
       break;
     }
     case aggregation_rule::trimmed_mean: {
-      PELTA_CHECK_MSG(config.trim_fraction >= 0.0f && config.trim_fraction < 0.5f,
-                      "trim_fraction " << config.trim_fraction << " outside [0, 0.5)");
       std::size_t k =
-          static_cast<std::size_t>(std::floor(static_cast<double>(n) * config.trim_fraction));
-      // A caller explicitly asking for trim_fraction == 0 gets the plain
-      // mean; the k = 1 floor only backstops a positive fraction that
-      // rounds to zero at small n.
-      if (k == 0 && config.trim_fraction > 0.0f && n >= 3) k = 1;
+          static_cast<std::size_t>(std::floor(static_cast<double>(n) * k_trim_fraction));
+      if (k == 0 && n >= 3) k = 1;  // the fraction rounds to zero at small n
       PELTA_CHECK_MSG(2 * k < n, "trimming discards every update (n=" << n << ", k=" << k << ")");
       std::vector<float> column(n);
       const double inv = 1.0 / static_cast<double>(n - 2 * k);
@@ -166,14 +148,12 @@ byte_buffer aggregate_states(const byte_buffer& reference,
     case aggregation_rule::norm_clipped_mean: {
       std::vector<double> norms(n);
       for (std::size_t c = 0; c < n; ++c) norms[c] = delta_norm(states[c], ref);
-      double cap = static_cast<double>(config.clip_norm);
-      if (cap <= 0.0) {
-        std::vector<double> sorted = norms;
-        std::nth_element(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n / 2),
-                         sorted.end());
-        cap = sorted[n / 2];
-        if (cap <= 0.0) cap = 1.0;  // all updates identical to global: no-op clip
-      }
+      // Cap at the median delta norm.
+      std::vector<double> sorted = norms;
+      std::nth_element(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n / 2),
+                       sorted.end());
+      double cap = sorted[n / 2];
+      if (cap <= 0.0) cap = 1.0;  // all updates identical to global: no-op clip
       // out = ref + weighted mean of clipped deltas
       for (std::size_t i = 0; i < out.size(); ++i) out[i] = ref[i];
       for (std::size_t c = 0; c < n; ++c) {

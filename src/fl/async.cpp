@@ -1,7 +1,5 @@
 #include "fl/async.h"
 
-#include <limits>
-
 #include "core/cost_model.h"
 #include "core/simclock.h"
 #include "tensor/check.h"
@@ -12,8 +10,7 @@ namespace pelta::fl {
 double async_episode_ns(const client_profile& profile, std::int64_t shard_size, std::int64_t epochs,
                         std::int64_t payload_bytes, const network& net) {
   const double compute = core::cost_model{}.train_ns(shard_size, epochs, profile.compute_scale);
-  return net.transfer_ns(payload_bytes, profile) + compute +
-         net.transfer_ns(payload_bytes, profile);
+  return net.transfer_ns(payload_bytes) + compute + net.transfer_ns(payload_bytes);
 }
 
 async_schedule plan_async_schedule(const async_config& config,
@@ -22,17 +19,6 @@ async_schedule plan_async_schedule(const async_config& config,
                                    std::int64_t epochs, std::int64_t payload_bytes,
                                    const network& net, std::int64_t target_aggregations,
                                    std::uint64_t seed) {
-  return plan_async_schedule(config, profiles, shard_sizes, epochs, payload_bytes, net,
-                             target_aggregations, seed,
-                             std::numeric_limits<double>::infinity());
-}
-
-async_schedule plan_async_schedule(const async_config& config,
-                                   const std::vector<client_profile>& profiles,
-                                   const std::vector<std::int64_t>& shard_sizes,
-                                   std::int64_t epochs, std::int64_t payload_bytes,
-                                   const network& net, std::int64_t target_aggregations,
-                                   std::uint64_t seed, double horizon_ns) {
   PELTA_CHECK_MSG(config.buffer_size >= 1, "async buffer_size must be >= 1");
   PELTA_CHECK_MSG(config.max_staleness >= 0, "max_staleness must be >= 0");
   PELTA_CHECK_MSG(!profiles.empty() && profiles.size() == shard_sizes.size(),
@@ -44,14 +30,11 @@ async_schedule plan_async_schedule(const async_config& config,
   const rng base{seed};
   async_schedule plan;
 
-  // The shared simulated-clock queue (core/simclock.h): events pop by
-  // (finish stamp, job index) — the job index, unique and assigned in
+  // The shared simulated-clock queue (core/simclock.h), open-ended: events
+  // pop by (finish stamp, job index) — the job index, unique and assigned in
   // creation order, is the deterministic tie-break, so the pop order is
-  // total. The horizon is the queue's inclusive drain boundary: an upload
-  // (and therefore a flush) stamped exactly AT the horizon still lands;
-  // episodes finishing after it are rejected by the queue and never
-  // processed.
-  core::event_queue events{horizon_ns};
+  // total.
+  core::event_queue events;
 
   std::int64_t version = 0;
   std::vector<std::size_t> buffer;  // job indices, arrival order

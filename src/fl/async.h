@@ -6,16 +6,16 @@
 // async FL buffers updates instead: clients train continuously, each pull
 // of the global model starts a new local episode, and the server aggregates
 // whenever K updates have been buffered — stale updates down-weighted by
-// aggregation_config.staleness (1/sqrt(1+s) by default) and discarded
-// beyond max_staleness.
+// staleness_weight (1/sqrt(1+s), fl/aggregation.h) and discarded beyond
+// max_staleness.
 //
 // The runtime is split so the schedule never depends on wall-clock or
 // thread count:
 //
 //   1. plan_async_schedule — a pure, single-threaded event loop over the
 //      *simulated* clock. Completion times come from the network cost model
-//      (client_profile-scaled transfers) plus a modeled compute duration
-//      (core::cost_model::train_ns, core/cost_model.h);
+//      plus a modeled compute duration (core::cost_model::train_ns,
+//      core/cost_model.h, at the client_profile's compute_scale);
 //      dropout draws come from per-job forked rng streams. The plan fixes,
 //      deterministically, which episode trains from which global version
 //      and which aggregation consumes it.
@@ -39,14 +39,7 @@ struct async_config {
   std::int64_t buffer_size = 2;
   /// Updates arriving with staleness beyond this are discarded unseen.
   std::int64_t max_staleness = 8;
-  /// Down-weighting of the staleness the surviving updates do carry. On
-  /// the async path this is the single source of truth: run_async installs
-  /// it into aggregation_config.staleness for every flush, overriding
-  /// whatever federation_config.aggregation carries (sync rounds always
-  /// aggregate at staleness 0, where the knob is inert anyway).
-  staleness_weighting weighting = staleness_weighting::inverse_sqrt;
-  /// Fleet heterogeneity (per-client link/compute scales, stragglers,
-  /// dropout) driving the simulated clock.
+  /// Fleet heterogeneity (stragglers, dropout) driving the simulated clock.
   heterogeneity_config heterogeneity;
 };
 
@@ -98,19 +91,6 @@ async_schedule plan_async_schedule(const async_config& config,
                                    std::int64_t epochs, std::int64_t payload_bytes,
                                    const network& net, std::int64_t target_aggregations,
                                    std::uint64_t seed);
-
-/// Same, but planning drains at `horizon_ns` — the shared simulated-clock
-/// shutdown rule (core/simclock.h), boundary INCLUSIVE: an upload (and the
-/// flush it completes) stamped exactly AT the horizon still lands; episodes
-/// finishing after it are never processed, so the plan may end with fewer
-/// than `target_aggregations` flushes. `horizon_ns = +inf` is the overload
-/// above.
-async_schedule plan_async_schedule(const async_config& config,
-                                   const std::vector<client_profile>& profiles,
-                                   const std::vector<std::int64_t>& shard_sizes,
-                                   std::int64_t epochs, std::int64_t payload_bytes,
-                                   const network& net, std::int64_t target_aggregations,
-                                   std::uint64_t seed, double horizon_ns);
 
 /// What one run_async call did, in simulated terms.
 struct async_report {

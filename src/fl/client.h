@@ -30,8 +30,8 @@ struct model_update {
   byte_buffer parameters;         ///< serialized updated parameter values
   /// Global versions that landed between the broadcast this update trained
   /// from and the aggregation consuming it. Sync rounds aggregate at 0; the
-  /// async runtime (fl/async.h) stamps it so aggregation_config.staleness
-  /// can down-weight stale deltas.
+  /// async runtime (fl/async.h) stamps it so staleness_weight can
+  /// down-weight stale deltas.
   std::int64_t staleness = 0;
 };
 

@@ -16,9 +16,8 @@ federation::federation(const federation_config& config, const model_factory& fac
   PELTA_CHECK_MSG(config.compromised >= 0 && config.compromised <= config.clients,
                   "compromised count out of range");
 
-  sharding_config sharding = config.sharding;
-  sharding.seed = config.seed;
-  std::vector<std::vector<std::int64_t>> shards = make_shards(ds, config.clients, sharding);
+  std::vector<std::vector<std::int64_t>> shards =
+      make_shards(ds, config.clients, config.sharding, config.seed);
   for (std::int64_t c = 0; c < config.clients; ++c) {
     const bool malicious = c >= config.clients - config.compromised;
     if (malicious)
@@ -106,13 +105,8 @@ void federation::run_rounds(std::int64_t rounds) {
 }
 
 async_report federation::run_async(std::int64_t aggregations, const async_observer& on_flush) {
-  return run_async(config_.async, aggregations, on_flush);
-}
-
-async_report federation::run_async(const async_config& config, std::int64_t aggregations,
-                                   const async_observer& on_flush) {
   const std::vector<client_profile> profiles =
-      make_client_profiles(client_count(), config.heterogeneity);
+      make_client_profiles(client_count(), config_.async.heterogeneity);
   std::vector<std::int64_t> shard_sizes;
   shard_sizes.reserve(clients_.size());
   for (const auto& client : clients_) shard_sizes.push_back(client->shard_size());
@@ -122,7 +116,7 @@ async_report federation::run_async(const async_config& config, std::int64_t aggr
   // which flush consumes it — is fixed up front on the simulated clock, so
   // nothing below depends on thread count or wall-clock.
   const async_schedule plan = plan_async_schedule(
-      config, profiles, shard_sizes, config_.local.epochs, payload, network_, aggregations,
+      config_.async, profiles, shard_sizes, config_.local.epochs, payload, network_, aggregations,
       rng{config_.seed}.fork(0xa57ull).seed());
 
   // Group the applied episodes by start version, per client in episode
@@ -165,8 +159,7 @@ async_report federation::run_async(const async_config& config, std::int64_t aggr
   std::size_t leg_cursor = 0;
   const auto replay_legs_until = [&](double t) {
     while (leg_cursor < plan.legs.size() && plan.legs[leg_cursor].ns <= t) {
-      network_.record(payload,
-                      profiles[static_cast<std::size_t>(plan.legs[leg_cursor].client)]);
+      network_.record(payload);
       ++leg_cursor;
     }
   };
@@ -190,7 +183,7 @@ async_report federation::run_async(const async_config& config, std::int64_t aggr
       report.trainings += static_cast<std::int64_t>(group.second.size());
 
     // 2. Flush the planned buffer: stamp staleness, aggregate with the
-    //    configured down-weighting.
+    //    1/sqrt(1+s) down-weighting.
     std::vector<model_update> batch;
     batch.reserve(plan.flush_inputs[static_cast<std::size_t>(k)].size());
     for (const std::size_t j : plan.flush_inputs[static_cast<std::size_t>(k)]) {
@@ -201,9 +194,7 @@ async_report federation::run_async(const async_config& config, std::int64_t aggr
       ++report.updates_applied;
       batch.push_back(std::move(u));
     }
-    aggregation_config rule = config_.aggregation;
-    rule.staleness = config.weighting;
-    server_.aggregate(batch, rule);
+    server_.aggregate(batch, config_.aggregation);
     replay_legs_until(plan.flush_ns[static_cast<std::size_t>(k)]);
     if (on_flush) on_flush(k, plan.flush_ns[static_cast<std::size_t>(k)]);
   }
@@ -212,12 +203,7 @@ async_report federation::run_async(const async_config& config, std::int64_t aggr
 
   // Every planned leg is timestamped at or before the final flush, but
   // drain defensively so the totals never depend on that invariant.
-  replay_legs_until(plan.end_ns);
-  while (leg_cursor < plan.legs.size()) {
-    network_.record(payload,
-                    profiles[static_cast<std::size_t>(plan.legs[leg_cursor].client)]);
-    ++leg_cursor;
-  }
+  replay_legs_until(std::numeric_limits<double>::infinity());
 
   return report;
 }

@@ -8,7 +8,7 @@
 //   run_async — FedBuff-style buffered asynchronous rounds on a simulated
 //       clock (fl/async.h): clients train continuously, the server
 //       aggregates whenever config.async.buffer_size updates are buffered,
-//       stale updates are down-weighted / discarded.
+//       stale updates are down-weighted by 1/sqrt(1+s) or discarded.
 #pragma once
 
 #include <functional>
@@ -28,9 +28,12 @@ using async_observer = std::function<void(std::int64_t, double)>;
 struct federation_config {
   std::int64_t clients = 4;
   std::int64_t compromised = 1;  ///< the last `compromised` clients are malicious
+  /// Local training per episode. local.seed is not read: the federation
+  /// derives the training seed itself, seed + round in sync runs and seed
+  /// in async runs (each client's round counter separates its episodes).
   local_train_config local;
   sharding_config sharding;      ///< iid / by-class / dirichlet (fl/sharding.h)
-  aggregation_config aggregation;///< FedAvg / robust rules (fl/aggregation.h)
+  aggregation_rule aggregation = aggregation_rule::fedavg;  ///< fl/aggregation.h
   async_config async;            ///< buffered-async runtime knobs (fl/async.h)
   /// Fraction of clients sampled per round, with floor semantics: a round
   /// reaches max(1, floor(participation * clients)) clients, so 0.5 over 5
@@ -44,7 +47,8 @@ struct federation_config {
 
 class federation {
 public:
-  /// Shards the dataset's train split across clients per config.sharding.
+  /// Shards the dataset's train split across clients per config.sharding,
+  /// shuffled under config.seed.
   federation(const federation_config& config, const model_factory& factory,
              const data::dataset& ds);
 
@@ -53,12 +57,10 @@ public:
   void run_rounds(std::int64_t rounds);
 
   /// Buffered asynchronous federation for `aggregations` buffer flushes,
-  /// per config.async (or an explicit override). The schedule is planned on
-  /// a simulated clock (fl/async.h) and the training episodes execute on
-  /// the thread pool — bit-identical for every PELTA_THREADS value.
+  /// per config.async. The schedule is planned on a simulated clock
+  /// (fl/async.h) and the training episodes execute on the thread pool —
+  /// bit-identical for every PELTA_THREADS value.
   async_report run_async(std::int64_t aggregations, const async_observer& on_flush = {});
-  async_report run_async(const async_config& config, std::int64_t aggregations,
-                         const async_observer& on_flush = {});
 
   fl_server& server() { return server_; }
   std::int64_t client_count() const { return static_cast<std::int64_t>(clients_.size()); }

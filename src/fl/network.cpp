@@ -1,28 +1,12 @@
 #include "fl/network.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "tensor/check.h"
 #include "tensor/rng.h"
 
 namespace pelta::fl {
-
-namespace {
-
-/// Log-uniform draw in [1/spread, spread]; spread <= 1 pins it to 1 (and
-/// consumes no randomness, so turning one axis off doesn't shift the
-/// streams of the others — each axis draws from its own forked stream).
-double log_uniform_scale(rng& gen, double spread) {
-  if (spread <= 1.0) return 1.0;
-  const double lo = -std::log(spread);
-  const double hi = std::log(spread);
-  return std::exp(static_cast<double>(gen.uniform(static_cast<float>(lo),
-                                                  static_cast<float>(hi))));
-}
-
-}  // namespace
 
 std::vector<client_profile> make_client_profiles(std::int64_t clients,
                                                  const heterogeneity_config& config) {
@@ -33,24 +17,13 @@ std::vector<client_profile> make_client_profiles(std::int64_t clients,
   PELTA_CHECK_MSG(config.dropout_rate >= 0.0 && config.dropout_rate < 1.0,
                   "dropout_rate " << config.dropout_rate << " outside [0, 1)");
 
-  const rng base{config.seed};
-  std::vector<client_profile> profiles(static_cast<std::size_t>(clients));
-  for (std::size_t c = 0; c < profiles.size(); ++c) {
-    // One forked stream per (client, axis): adding clients or reordering
-    // axes never reshuffles another client's draws.
-    rng bw = base.fork(3 * c + 0);
-    rng lat = base.fork(3 * c + 1);
-    rng comp = base.fork(3 * c + 2);
-    profiles[c].bandwidth_scale = log_uniform_scale(bw, config.bandwidth_spread);
-    profiles[c].latency_scale = log_uniform_scale(lat, config.latency_spread);
-    profiles[c].compute_scale = log_uniform_scale(comp, config.compute_spread);
-    profiles[c].dropout_rate = config.dropout_rate;
-  }
+  std::vector<client_profile> profiles(static_cast<std::size_t>(clients),
+                                       client_profile{1.0, config.dropout_rate});
 
   if (config.stragglers > 0) {
     std::vector<std::size_t> order(profiles.size());
     std::iota(order.begin(), order.end(), 0);
-    rng pick = base.fork(0x57a661e5ull);
+    rng pick = rng{config.seed}.fork(0x57a661e5ull);
     std::shuffle(order.begin(), order.end(), pick.engine());
     for (std::int64_t s = 0; s < config.stragglers; ++s)
       profiles[order[static_cast<std::size_t>(s)]].compute_scale *= config.straggler_slowdown;

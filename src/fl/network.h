@@ -7,11 +7,11 @@
 //
 // Real edge fleets are heterogeneous — the paper's §VI calls for harnessing
 // "the idle state of edge devices to handle intermittent compute node
-// availability" — so each client can carry a client_profile scaling the
-// shared link cost model and the modeled local-compute time, plus a
-// per-episode dropout probability. make_client_profiles draws a seeded
-// fleet with log-uniform spreads and a fixed number of stragglers; the
-// async scheduler (fl/async.h) plans its simulated clock from these.
+// availability" — so each client carries a client_profile scaling its
+// modeled local-compute time, plus a per-episode dropout probability. Every
+// client shares the one link cost model. make_client_profiles builds a
+// seeded fleet with a fixed number of stragglers; the async scheduler
+// (fl/async.h) plans its simulated clock from these.
 #pragma once
 
 #include <cstdint>
@@ -27,27 +27,19 @@ struct network_stats {
   double simulated_ns = 0.0;
 };
 
-/// Per-client heterogeneity. Scales the network's shared cost model: a
-/// transfer for this client costs per_message_ns * latency_scale +
-/// ns_per_byte * bandwidth_scale * bytes. compute_scale multiplies the
-/// modeled local-training duration on the async scheduler's simulated
-/// clock, and dropout_rate is the probability one training episode ends
-/// with the device offline before its upload lands.
+/// Per-client heterogeneity. compute_scale multiplies the modeled
+/// local-training duration on the async scheduler's simulated clock, and
+/// dropout_rate is the probability one training episode ends with the device
+/// offline before its upload lands.
 struct client_profile {
-  double bandwidth_scale = 1.0;  ///< >1 = slower link (scales the per-byte cost)
-  double latency_scale = 1.0;    ///< >1 = higher RTT
-  double compute_scale = 1.0;    ///< >1 = slower device
-  double dropout_rate = 0.0;     ///< per-episode offline probability in [0, 1)
+  double compute_scale = 1.0;  ///< >1 = slower device
+  double dropout_rate = 0.0;   ///< per-episode offline probability in [0, 1)
 };
 
-/// Seeded fleet generator: spreads are log-uniform in [1/spread, spread]
-/// around 1 (spread <= 1 pins the scale to exactly 1), then `stragglers`
-/// distinct clients — chosen by seeded shuffle — get their compute_scale
-/// multiplied by straggler_slowdown.
+/// Seeded fleet generator: every client computes at scale 1, then
+/// `stragglers` distinct clients — chosen by seeded shuffle — get their
+/// compute_scale multiplied by straggler_slowdown.
 struct heterogeneity_config {
-  double bandwidth_spread = 1.0;
-  double latency_spread = 1.0;
-  double compute_spread = 1.0;
   std::int64_t stragglers = 0;
   double straggler_slowdown = 4.0;
   double dropout_rate = 0.0;
@@ -63,21 +55,19 @@ public:
   explicit network(double ns_per_byte = 8.0, double per_message_ns = 2e6)
       : ns_per_byte_{ns_per_byte}, per_message_ns_{per_message_ns} {}
 
-  /// Modeled one-way transfer time of `bytes` over `link`, without
-  /// recording it. The async scheduler plans completion times from this
-  /// and replays the accounting afterwards in simulated-event order.
-  double transfer_ns(std::int64_t bytes, const client_profile& link = {}) const {
-    return per_message_ns_ * link.latency_scale +
-           ns_per_byte_ * link.bandwidth_scale * static_cast<double>(bytes);
+  /// Modeled one-way transfer time of `bytes`, without recording it. The
+  /// async scheduler plans completion times from this and replays the
+  /// accounting afterwards in simulated-event order.
+  double transfer_ns(std::int64_t bytes) const {
+    return per_message_ns_ + ns_per_byte_ * static_cast<double>(bytes);
   }
 
-  /// Record one message of `bytes` payload over `link`; returns its
-  /// simulated latency. Thread-safe; still, for *deterministic* stats,
-  /// record in a fixed order (federation replays the legs in participant /
-  /// simulated-event order after the training join rather than from inside
-  /// worker threads).
-  double record(std::int64_t bytes, const client_profile& link = {}) {
-    const double ns = transfer_ns(bytes, link);
+  /// Record one message of `bytes` payload; returns its simulated latency.
+  /// Thread-safe; still, for *deterministic* stats, record in a fixed order
+  /// (federation replays the legs in participant / simulated-event order
+  /// after the training join rather than from inside worker threads).
+  double record(std::int64_t bytes) {
+    const double ns = transfer_ns(bytes);
     const sync::lock_guard lock{mutex_};
     ++stats_.messages;
     stats_.bytes += bytes;

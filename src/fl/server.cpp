@@ -11,13 +11,8 @@ fl_server::fl_server(std::unique_ptr<models::model> global_model)
 
 byte_buffer fl_server::broadcast() const { return models::save_state(*model_); }
 
-void fl_server::aggregate(const std::vector<model_update>& updates) {
-  aggregate(updates, aggregation_config{});  // default rule: FedAvg
-}
-
-void fl_server::aggregate(const std::vector<model_update>& updates,
-                          const aggregation_config& config) {
-  models::load_state(*model_, aggregate_states(models::save_state(*model_), updates, config));
+void fl_server::aggregate(const std::vector<model_update>& updates, aggregation_rule rule) {
+  models::load_state(*model_, aggregate_states(models::save_state(*model_), updates, rule));
   ++round_;
 }
 

@@ -1,5 +1,5 @@
 // Trusted FL server: broadcasts the global model, aggregates client updates
-// with FedAvg (weighted by local sample counts).
+// under an aggregation rule (FedAvg or a Byzantine-robust variant).
 #pragma once
 
 #include <memory>
@@ -19,12 +19,10 @@ public:
   /// Serialized global parameters (the broadcast payload).
   byte_buffer broadcast() const;
 
-  /// FedAvg: θ ← Σ_i (n_i / n) θ_i over the received updates.
-  void aggregate(const std::vector<model_update>& updates);
-
-  /// Aggregate under an explicit rule (Byzantine-robust variants included;
-  /// see fl/aggregation.h).
-  void aggregate(const std::vector<model_update>& updates, const aggregation_config& config);
+  /// Aggregate the received updates under `rule` (fl/aggregation.h) and
+  /// advance the round; FedAvg is θ ← Σ_i (n_i / n) θ_i. A rejected update
+  /// set throws before the global model or the round changes.
+  void aggregate(const std::vector<model_update>& updates, aggregation_rule rule);
 
   std::int64_t round() const { return round_; }
 

@@ -38,13 +38,14 @@ void fix_empty_shards(std::vector<std::vector<std::int64_t>>& shards) {
 
 std::vector<std::vector<std::int64_t>> make_shards(const data::dataset& ds,
                                                    std::int64_t clients,
-                                                   const sharding_config& config) {
+                                                   const sharding_config& config,
+                                                   std::uint64_t seed) {
   PELTA_CHECK_MSG(clients >= 1, "need at least one client");
   PELTA_CHECK_MSG(ds.train_size() >= clients, "more clients than training samples");
 
   std::vector<std::int64_t> order(static_cast<std::size_t>(ds.train_size()));
   std::iota(order.begin(), order.end(), 0);
-  rng gen{config.seed};
+  rng gen{seed};
 
   std::vector<std::vector<std::int64_t>> shards(static_cast<std::size_t>(clients));
   switch (config.strategy) {

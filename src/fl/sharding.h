@@ -22,15 +22,16 @@ const char* shard_strategy_name(shard_strategy strategy);
 struct sharding_config {
   shard_strategy strategy = shard_strategy::iid;
   float dirichlet_alpha = 0.5f;  ///< concentration; smaller = more skew
-  std::uint64_t seed = 23;
 };
 
 /// Partition the dataset's train indices into `clients` disjoint shards
-/// covering every sample. Every shard is guaranteed non-empty (a client
-/// with no data cannot participate in a round).
+/// covering every sample, shuffled under `seed` (a federation passes its
+/// own federation_config::seed). Every shard is guaranteed non-empty (a
+/// client with no data cannot participate in a round).
 std::vector<std::vector<std::int64_t>> make_shards(const data::dataset& ds,
                                                    std::int64_t clients,
-                                                   const sharding_config& config);
+                                                   const sharding_config& config,
+                                                   std::uint64_t seed);
 
 /// Shannon entropy (nats) of a shard's label distribution — the standard
 /// skew diagnostic (log(classes) for uniform, 0 for single-class).

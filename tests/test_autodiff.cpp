@@ -11,6 +11,7 @@
 #include "autodiff/ops_elementwise.h"
 #include "autodiff/ops_linalg.h"
 #include "autodiff/ops_loss.h"
+#include "autodiff/ops_norm.h"
 #include "tensor/ops.h"
 
 namespace pelta::ad {
@@ -180,6 +181,24 @@ TEST(Graph, ToStringListsNodes) {
   EXPECT_NE(dump.find("relu"), std::string::npos);
   EXPECT_NE(dump.find("tag=act"), std::string::npos);
   EXPECT_NE(dump.find("[x-dep]"), std::string::npos);
+}
+
+// Op names land in graph::to_string and in the enclave's Jacobian records
+// (shield::jacobian_record::op_name), so each one is part of the output.
+TEST(Graph, OpNamesAreStable) {
+  const std::pair<op_ptr, std::string_view> table[] = {
+      {make_softmax_lastdim(), "softmax"},
+      {make_attention_weights(0.5f), "attention_weights"},
+      {make_log_softmax_lastdim(), "log_softmax"},
+      {make_bmm(), "bmm"},
+      {make_split_heads(2), "split_heads"},
+      {make_merge_heads(2), "merge_heads"},
+      {make_slice_row(0), "slice_row"},
+      {make_cross_entropy(), "cross_entropy"},
+      {make_layernorm_lastdim(), "layernorm"},
+      {make_weight_standardize(), "weight_standardize"},
+  };
+  for (const auto& [oper, name] : table) EXPECT_EQ(oper->name(), name);
 }
 
 TEST(Graph, NumericJacobianOfLinearMapIsItsMatrix) {

@@ -509,5 +509,41 @@ TEST_F(ClusterTest, ReplicaFailureRethrowsAndLeavesTheClusterServiceable) {
   expect_cluster_reports_identical(after_failure, fresh.run(clean));
 }
 
+// ---- report figures on a hand-worked clock ---------------------------------
+
+// Classifies nothing and stores nothing: every enclave charge is exactly 0,
+// so each replica's clock is the cost model alone.
+class inert_backend final : public serve::shielded_backend {
+public:
+  std::int64_t num_classes() const override { return 2; }
+  tensor run_batch(const tensor& images, const std::vector<std::int64_t>&, tee::secure_store&,
+                   batch_stats*) override {
+    return tensor::zeros({images.size(0), 2});
+  }
+};
+
+// bench_cluster gates on simulated_span_ns(); pin it against a clock worked
+// out by hand.
+TEST(ClusterReport, SpanMatchesAHandWorkedClock) {
+  // Two replicas, round-robin; max_batch 2, max_delay 50; a batch of b
+  // costs 100 + 10 b.
+  //   replica 0 gets requests 0 and 2: fills at 30, runs 30 -> 150
+  //   replica 1 gets request 1: closes at its deadline 70, runs 70 -> 180;
+  //   then request 3, the last arrival: drains at 200, runs 200 -> 310
+  // span = 310 - 10 = 300.
+  inert_backend backend;
+  serve::cluster_config cfg;
+  cfg.replicas = 2;
+  cfg.server.policy = {2, 50.0};
+  cfg.server.cost.batch_setup_ns = 100.0;
+  cfg.server.cost.compute_ns_per_sample = 10.0;
+  serve::cluster fleet{backend, cfg};
+  const serve::cluster_report report = fleet.run(make_requests(4, {10.0, 20.0, 30.0, 200.0}));
+  EXPECT_EQ(report.enclave_ns, 0.0);
+  EXPECT_EQ(report.first_submit_ns, 10.0);
+  EXPECT_EQ(report.last_finish_ns, 310.0);
+  EXPECT_EQ(report.simulated_span_ns(), 300.0);
+}
+
 }  // namespace
 }  // namespace pelta

@@ -97,7 +97,7 @@ TEST(Server, FedAvgExactWeightedMean) {
   }
   model_update ua{0, 10, a->params().save_values()};
   model_update ub{1, 30, b->params().save_values()};
-  server.aggregate({ua, ub});
+  server.aggregate({ua, ub}, aggregation_rule::fedavg);
 
   for (std::size_t k = 0; k < n_params; ++k)
     for (float v : server.global_model().params().at(k).value.data())
@@ -107,11 +107,68 @@ TEST(Server, FedAvgExactWeightedMean) {
 
 TEST(Server, RejectsEmptyAndMalformedUpdates) {
   fl_server server{tiny_vit_factory()()};
-  EXPECT_THROW(server.aggregate({}), error);
+  EXPECT_THROW(server.aggregate({}, aggregation_rule::fedavg), error);
   model_update bad{0, 4, byte_buffer{1, 2, 3}};
-  EXPECT_THROW(server.aggregate({bad}), error);
+  EXPECT_THROW(server.aggregate({bad}, aggregation_rule::fedavg), error);
   model_update zero{0, 0, server.broadcast()};
-  EXPECT_THROW(server.aggregate({zero}), error);
+  EXPECT_THROW(server.aggregate({zero}, aggregation_rule::fedavg), error);
+}
+
+// Update bytes are attacker-controlled: a rejected update set must leave the
+// global model and the round exactly as they were, under every rule.
+TEST(Server, RejectedAggregateLeavesTheGlobalModelUntouched) {
+  fl_server server{tiny_vit_factory()()};
+  const byte_buffer before = server.broadcast();
+
+  auto moved = tiny_vit_factory()();
+  const std::size_t n_params = moved->params().size();
+  for (std::size_t k = 0; k < n_params; ++k) moved->params().at(k).value.fill_(2.0f);
+  const model_update good{0, 10, moved->params().save_values()};
+
+  model_update truncated = good;
+  truncated.client_id = 1;
+  truncated.parameters.resize(truncated.parameters.size() / 2);
+
+  auto other = std::make_unique<models::vit_model>([] {
+    models::vit_config c;
+    c.image_size = 16;
+    c.patch_size = 4;
+    c.dim = 8;  // every dim-shaped tensor differs from the global model's
+    c.heads = 2;
+    c.blocks = 1;
+    c.mlp_hidden = 32;
+    c.classes = 4;
+    return c;
+  }());
+  const model_update mismatched{1, 10, other->params().save_values()};
+
+  model_update zero_samples = good;
+  zero_samples.sample_count = 0;
+
+  model_update negative_staleness = good;
+  negative_staleness.staleness = -1;
+
+  const std::pair<const char*, std::vector<model_update>> rejected[] = {
+      {"good + truncated", {good, truncated}},
+      {"mismatched structure", {good, mismatched}},
+      {"zero sample count", {good, zero_samples}},
+      {"negative staleness", {good, negative_staleness}},
+  };
+  for (const aggregation_rule rule :
+       {aggregation_rule::fedavg, aggregation_rule::coordinate_median,
+        aggregation_rule::trimmed_mean, aggregation_rule::norm_clipped_mean})
+    for (const auto& [label, updates] : rejected) {
+      EXPECT_THROW(server.aggregate(updates, rule), error)
+          << label << " under " << aggregation_rule_name(rule);
+      EXPECT_TRUE(server.broadcast() == before)
+          << label << " under " << aggregation_rule_name(rule) << " moved the global model";
+      EXPECT_EQ(server.round(), 0) << label;
+    }
+
+  // The same server still aggregates a well-formed set afterwards.
+  server.aggregate({good}, aggregation_rule::fedavg);
+  EXPECT_EQ(server.round(), 1);
+  EXPECT_TRUE(server.broadcast() == good.parameters);
 }
 
 TEST(Federation, ShardsArePartition) {
@@ -341,9 +398,8 @@ TEST(FederationGolden, ShardsPerStrategy) {
   for (const auto& [strategy, expected] : cases) {
     sharding_config sc;
     sc.strategy = strategy;
-    sc.seed = seed;
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const std::vector<std::int64_t>& shard : make_shards(ds, 4, sc)) {
+    for (const std::vector<std::int64_t>& shard : make_shards(ds, 4, sc, seed)) {
       h = hash_double(static_cast<double>(shard.size()), h);
       for (const std::int64_t i : shard) h = hash_double(static_cast<double>(i), h);
     }

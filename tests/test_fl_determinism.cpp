@@ -111,8 +111,7 @@ async_outcome run_async_federation(bool force_serial) {
   cfg.local.batch_size = 8;
   cfg.async.buffer_size = 2;
   cfg.async.max_staleness = 4;
-  cfg.async.heterogeneity.compute_spread = 2.0;
-  cfg.async.heterogeneity.stragglers = 1;
+  cfg.async.heterogeneity.stragglers = 2;
   cfg.async.heterogeneity.straggler_slowdown = 4.0;
   cfg.async.heterogeneity.dropout_rate = 0.2;
   federation fed{cfg, tiny_vit_factory(), ds};

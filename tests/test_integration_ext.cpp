@@ -36,7 +36,7 @@ TEST(EndToEnd, FederatedTrainingToShieldedDeployment) {
   fc.local.batch_size = 16;
   fc.sharding.strategy = fl::shard_strategy::dirichlet;
   fc.sharding.dirichlet_alpha = 1.0f;
-  fc.aggregation.rule = fl::aggregation_rule::coordinate_median;
+  fc.aggregation = fl::aggregation_rule::coordinate_median;
   fc.participation = 0.75f;
   fl::federation fed{fc, [&] { return models::make_model("ViT-B/16", task); }, ds};
   fed.run_rounds(6);
@@ -116,8 +116,6 @@ TEST(EndToEnd, BackdooredFederationIsCaughtByTheRobustRuleNotByPelta) {
     fl::local_train_config lc;
     lc.epochs = 2;
     lc.batch_size = 16;
-    fl::aggregation_config ac;
-    ac.rule = rule;
     for (std::int64_t r = 0; r < 3; ++r) {
       const byte_buffer g = server.broadcast();
       std::vector<fl::model_update> updates;
@@ -125,7 +123,7 @@ TEST(EndToEnd, BackdooredFederationIsCaughtByTheRobustRuleNotByPelta) {
         c->receive_global(g);
         updates.push_back(c->local_update(lc));
       }
-      server.aggregate(updates, ac);
+      server.aggregate(updates, rule);
     }
     return fl::backdoor_success_rate(server.global_model(), ds, bd, 60);
   };

@@ -69,25 +69,22 @@ TEST(Aggregation, FedavgIsSampleWeighted) {
   const byte_buffer ref = encode1({0.0f, 0.0f});
   const std::vector<model_update> updates = {make_update(0, 1, {1.0f, 10.0f}),
                                              make_update(1, 3, {5.0f, 2.0f})};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::fedavg;
-  const auto out = decode1(aggregate_states(ref, updates, cfg));
+  const auto out = decode1(aggregate_states(ref, updates, aggregation_rule::fedavg));
   EXPECT_NEAR(out[0], 0.25f * 1.0f + 0.75f * 5.0f, 1e-5f);
   EXPECT_NEAR(out[1], 0.25f * 10.0f + 0.75f * 2.0f, 1e-5f);
 }
 
 TEST(Aggregation, CoordinateMedianOddAndEven) {
   const byte_buffer ref = encode1({0.0f});
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::coordinate_median;
+  const aggregation_rule median = aggregation_rule::coordinate_median;
 
   const std::vector<model_update> odd = {make_update(0, 1, {1.0f}), make_update(1, 1, {100.0f}),
                                          make_update(2, 1, {3.0f})};
-  EXPECT_FLOAT_EQ(decode1(aggregate_states(ref, odd, cfg))[0], 3.0f);
+  EXPECT_FLOAT_EQ(decode1(aggregate_states(ref, odd, median))[0], 3.0f);
 
   const std::vector<model_update> even = {make_update(0, 1, {1.0f}), make_update(1, 1, {2.0f}),
                                           make_update(2, 1, {8.0f}), make_update(3, 1, {100.0f})};
-  EXPECT_FLOAT_EQ(decode1(aggregate_states(ref, even, cfg))[0], 5.0f);
+  EXPECT_FLOAT_EQ(decode1(aggregate_states(ref, even, median))[0], 5.0f);
 }
 
 TEST(Aggregation, MedianIgnoresSampleCountBoosting) {
@@ -97,11 +94,9 @@ TEST(Aggregation, MedianIgnoresSampleCountBoosting) {
   const std::vector<model_update> updates = {make_update(0, 1, {1.0f}),
                                              make_update(1, 1, {1.2f}),
                                              make_update(2, 1000, {50.0f})};
-  aggregation_config median;
-  median.rule = aggregation_rule::coordinate_median;
-  aggregation_config fedavg;
-  const float med = decode1(aggregate_states(ref, updates, median))[0];
-  const float avg = decode1(aggregate_states(ref, updates, fedavg))[0];
+  const float med =
+      decode1(aggregate_states(ref, updates, aggregation_rule::coordinate_median))[0];
+  const float avg = decode1(aggregate_states(ref, updates, aggregation_rule::fedavg))[0];
   EXPECT_FLOAT_EQ(med, 1.2f);
   EXPECT_GT(avg, 45.0f);
 }
@@ -111,75 +106,48 @@ TEST(Aggregation, TrimmedMeanDropsBothTails) {
   const std::vector<model_update> updates = {
       make_update(0, 1, {-100.0f}), make_update(1, 1, {1.0f}), make_update(2, 1, {2.0f}),
       make_update(3, 1, {3.0f}), make_update(4, 1, {100.0f})};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::trimmed_mean;
-  cfg.trim_fraction = 0.2f;  // k = 1 per side
-  EXPECT_NEAR(decode1(aggregate_states(ref, updates, cfg))[0], 2.0f, 1e-5f);
-}
-
-TEST(Aggregation, TrimmedMeanZeroFractionIsPlainMean) {
-  // Regression: an explicit trim_fraction of 0 used to hit the k = 1 floor
-  // at n >= 3 and silently discard the extreme updates anyway.
-  const byte_buffer ref = encode1({0.0f});
-  const std::vector<model_update> updates = {
-      make_update(0, 1, {-100.0f}), make_update(1, 1, {1.0f}), make_update(2, 1, {2.0f}),
-      make_update(3, 1, {3.0f}), make_update(4, 1, {100.0f})};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::trimmed_mean;
-  cfg.trim_fraction = 0.0f;  // untrimmed: keep all five, tails included
-  EXPECT_NEAR(decode1(aggregate_states(ref, updates, cfg))[0],
-              (-100.0f + 1.0f + 2.0f + 3.0f + 100.0f) / 5.0f, 1e-5f);
+  // floor(5 * 0.2) = 1 per side
+  EXPECT_NEAR(decode1(aggregate_states(ref, updates, aggregation_rule::trimmed_mean))[0], 2.0f,
+              1e-5f);
 }
 
 TEST(Aggregation, TrimmedMeanFloorsSmallPositiveFractions) {
-  // A positive fraction that rounds to zero at small n still trims one per
-  // side — dropping the floor entirely would silently disable robustness.
+  // The fraction rounds to zero at small n, yet one value per side is still
+  // trimmed — dropping the floor entirely would silently disable robustness.
   const byte_buffer ref = encode1({0.0f});
-  const std::vector<model_update> updates = {
-      make_update(0, 1, {-100.0f}), make_update(1, 1, {1.0f}), make_update(2, 1, {2.0f}),
-      make_update(3, 1, {3.0f}), make_update(4, 1, {100.0f})};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::trimmed_mean;
-  cfg.trim_fraction = 0.05f;  // floor(5 * 0.05) = 0 -> floored to k = 1
-  EXPECT_NEAR(decode1(aggregate_states(ref, updates, cfg))[0], 2.0f, 1e-5f);
+  const std::vector<model_update> updates = {make_update(0, 1, {-100.0f}),
+                                             make_update(1, 1, {1.0f}),
+                                             make_update(2, 1, {3.0f}),
+                                             make_update(3, 1, {100.0f})};
+  // floor(4 * 0.2) = 0 -> floored to k = 1
+  EXPECT_NEAR(decode1(aggregate_states(ref, updates, aggregation_rule::trimmed_mean))[0], 2.0f,
+              1e-5f);
 }
 
 TEST(Aggregation, TrimmedMeanSurvivesCatastrophicCancellation) {
   // Regression for the float accumulator the R1 lint rule flagged: summing
-  // the sorted column {-2^25, 1, 2^25} left-to-right in float loses the 1
+  // the sorted survivors {-2^25, 1, 2^25} left-to-right in float loses the 1
   // entirely (-2^25 + 1 rounds back to -2^25), so the old code returned 0.
-  // The double-widened accumulator keeps it: the mean is exactly 1/3.
+  // The double-widened accumulator keeps it: the mean is exactly 1/3. The
+  // outer +-2^30 are the one value per side the rule trims at n = 5.
   const byte_buffer ref = encode1({0.0f});
-  const std::vector<model_update> updates = {make_update(0, 1, {-33554432.0f}),
-                                             make_update(1, 1, {1.0f}),
-                                             make_update(2, 1, {33554432.0f})};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::trimmed_mean;
-  cfg.trim_fraction = 0.0f;  // untrimmed: the extremes must cancel, not swallow
-  EXPECT_NEAR(decode1(aggregate_states(ref, updates, cfg))[0], 1.0f / 3.0f, 1e-6f);
-}
-
-TEST(Aggregation, TrimmedMeanRejectsDegenerateFractions) {
-  const byte_buffer ref = encode1({0.0f});
-  const std::vector<model_update> updates = {make_update(0, 1, {1.0f}),
-                                             make_update(1, 1, {2.0f})};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::trimmed_mean;
-  cfg.trim_fraction = 0.5f;
-  EXPECT_THROW(aggregate_states(ref, updates, cfg), error);
+  const std::vector<model_update> updates = {
+      make_update(0, 1, {-1073741824.0f}), make_update(1, 1, {-33554432.0f}),
+      make_update(2, 1, {1.0f}), make_update(3, 1, {33554432.0f}),
+      make_update(4, 1, {1073741824.0f})};
+  EXPECT_NEAR(decode1(aggregate_states(ref, updates, aggregation_rule::trimmed_mean))[0],
+              1.0f / 3.0f, 1e-6f);
 }
 
 TEST(Aggregation, NormClipCapsTheOutlierDelta) {
   const byte_buffer ref = encode1({0.0f, 0.0f});
-  // honest: delta norm 1; attacker: delta norm 100.
+  // honest: delta norm 1 (the median); attacker: delta norm 100.
   const std::vector<model_update> updates = {make_update(0, 1, {1.0f, 0.0f}),
-                                             make_update(1, 1, {0.0f, 100.0f})};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::norm_clipped_mean;
-  cfg.clip_norm = 1.0f;
-  const auto out = decode1(aggregate_states(ref, updates, cfg));
-  EXPECT_NEAR(out[0], 0.5f, 1e-5f);  // honest delta kept
-  EXPECT_NEAR(out[1], 0.5f, 1e-5f);  // attacker clipped 100 -> 1, then averaged
+                                             make_update(1, 1, {1.0f, 0.0f}),
+                                             make_update(2, 1, {0.0f, 100.0f})};
+  const auto out = decode1(aggregate_states(ref, updates, aggregation_rule::norm_clipped_mean));
+  EXPECT_NEAR(out[0], 2.0f / 3.0f, 1e-5f);  // honest deltas kept
+  EXPECT_NEAR(out[1], 1.0f / 3.0f, 1e-5f);  // attacker clipped 100 -> 1, then averaged
 }
 
 TEST(Aggregation, NormClipSelfTunesToMedianNorm) {
@@ -187,9 +155,8 @@ TEST(Aggregation, NormClipSelfTunesToMedianNorm) {
   const std::vector<model_update> updates = {make_update(0, 1, {2.0f}),
                                              make_update(1, 1, {2.0f}),
                                              make_update(2, 1, {200.0f})};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::norm_clipped_mean;  // clip_norm = 0: median = 2
-  const auto out = decode1(aggregate_states(ref, updates, cfg));
+  // median delta norm = 2
+  const auto out = decode1(aggregate_states(ref, updates, aggregation_rule::norm_clipped_mean));
   EXPECT_NEAR(out[0], (2.0f + 2.0f + 2.0f) / 3.0f, 1e-4f);
 }
 
@@ -204,10 +171,8 @@ TEST(Aggregation, NormClipFollowsTheFmaddPolicy) {
   const byte_buffer ref = encode1(ref_v);
   const std::vector<model_update> updates = {make_update(0, 1, clients[0]),
                                              make_update(1, 1, clients[1])};
-  aggregation_config cfg;
-  cfg.rule = aggregation_rule::norm_clipped_mean;
-  cfg.clip_norm = 100.0f;  // far above both delta norms: scale = 1 for all
-  const auto out = decode1(aggregate_states(ref, updates, cfg));
+  // At n = 2 the median norm is the larger one: neither delta is scaled.
+  const auto out = decode1(aggregate_states(ref, updates, aggregation_rule::norm_clipped_mean));
 
   std::vector<float> expect = ref_v;  // same order as the implementation
   for (const auto& s : clients)
@@ -220,7 +185,7 @@ TEST(Aggregation, NormClipFollowsTheFmaddPolicy) {
 TEST(Aggregation, StructureMismatchThrows) {
   const byte_buffer ref = encode1({0.0f, 0.0f});
   const std::vector<model_update> updates = {make_update(0, 1, {1.0f})};
-  EXPECT_THROW(aggregate_states(ref, updates, aggregation_config{}), error);
+  EXPECT_THROW(aggregate_states(ref, updates, aggregation_rule::fedavg), error);
 }
 
 TEST(Aggregation, RuleNamesAreDistinct) {
@@ -274,14 +239,14 @@ struct fed_fixture {
 };
 
 void run_round(fl_server& server, const std::vector<fl_client*>& clients,
-               const local_train_config& lc, const aggregation_config& ac) {
+               const local_train_config& lc, aggregation_rule rule) {
   const byte_buffer g = server.broadcast();
   std::vector<model_update> updates;
   for (fl_client* c : clients) {
     c->receive_global(g);
     updates.push_back(c->local_update(lc));
   }
-  server.aggregate(updates, ac);
+  server.aggregate(updates, rule);
 }
 
 struct backdoor_run {
@@ -312,9 +277,7 @@ backdoor_run run_backdoor_federation(const fed_fixture& f, aggregation_rule rule
   lc.epochs = 2;
   lc.batch_size = 16;
   lc.lr = 3e-3f;
-  aggregation_config ac;
-  ac.rule = rule;
-  for (std::int64_t r = 0; r < 4; ++r) run_round(server, clients, lc, ac);
+  for (std::int64_t r = 0; r < 4; ++r) run_round(server, clients, lc, rule);
 
   return {backdoor_success_rate(server.global_model(), f.ds, bd, 60),
           models::accuracy(server.global_model(), f.ds.test_images(), f.ds.test_labels())};
@@ -375,7 +338,7 @@ evasion_run run_evasion_federation(const fed_fixture& f, bool shielded) {
   lc.epochs = 2;
   lc.batch_size = 16;
   lc.lr = 3e-3f;
-  for (std::int64_t r = 0; r < 4; ++r) run_round(server, clients, lc, aggregation_config{});
+  for (std::int64_t r = 0; r < 4; ++r) run_round(server, clients, lc, aggregation_rule::fedavg);
 
   return {replay_attack_rate(server.global_model(), poisoner_ptr->replay_set(),
                              poisoner_ptr->craft_attempts()),

@@ -175,11 +175,9 @@ TEST_P(AggregationRules, InvariantUnderClientPermutation) {
     u.parameters = encode_vec({g.uniform(-1, 1), g.uniform(-1, 1), g.uniform(-1, 1)});
     updates.push_back(std::move(u));
   }
-  fl::aggregation_config cfg;
-  cfg.rule = GetParam();
-  const byte_buffer forward = fl::aggregate_states(ref, updates, cfg);
+  const byte_buffer forward = fl::aggregate_states(ref, updates, GetParam());
   std::reverse(updates.begin(), updates.end());
-  const byte_buffer reversed = fl::aggregate_states(ref, updates, cfg);
+  const byte_buffer reversed = fl::aggregate_states(ref, updates, GetParam());
   // equal up to accumulation rounding (FedAvg and norm-clip sum in client order)
   std::size_t of = 0, orv = 0;
   const tensor tf = deserialize_tensor(forward, of);
@@ -198,9 +196,7 @@ TEST_P(AggregationRules, IdenticalUpdatesAggregateToThemselves) {
     u.parameters = encode_vec({1.5f, -2.0f});
     updates.push_back(std::move(u));
   }
-  fl::aggregation_config cfg;
-  cfg.rule = GetParam();
-  const byte_buffer out = fl::aggregate_states(ref, updates, cfg);
+  const byte_buffer out = fl::aggregate_states(ref, updates, GetParam());
   std::size_t offset = 0;
   const tensor t = deserialize_tensor(out, offset);
   EXPECT_NEAR(t[0], 1.5f, 1e-4f);

@@ -722,5 +722,45 @@ TEST(ServeBatchedEntries, PredictLogitsRowsMatchSingleSampleForwards) {
   }
 }
 
+// ---- report figures on a hand-worked clock ---------------------------------
+
+// Classifies nothing and stores nothing: every enclave charge is exactly 0,
+// so the simulated clock is the cost model alone.
+class inert_backend final : public serve::shielded_backend {
+public:
+  std::int64_t num_classes() const override { return 2; }
+  tensor run_batch(const tensor& images, const std::vector<std::int64_t>&, tee::secure_store&,
+                   batch_stats*) override {
+    return tensor::zeros({images.size(0), 2});
+  }
+};
+
+// bench_serving and serving_demo gate on simulated_span_ns() and
+// mean_batch_size(); pin both against a clock worked out by hand.
+TEST(ServeReport, SpanAndMeanBatchSizeMatchAHandWorkedClock) {
+  // max_batch 2, max_delay 50; a batch of b costs 100 + 10 b.
+  //   {0, 1} fills at 20 and runs 20 -> 140
+  //   {2} closes at its deadline 80, waits for the pipeline: 140 -> 250
+  //   {3} drains at 200, waits: 250 -> 360
+  // span = 360 - 10 = 350; mean batch size = 4 requests / 3 batches.
+  inert_backend backend;
+  tee::enclave enclave;
+  serve::server_config cfg;
+  cfg.policy = {2, 50.0};
+  cfg.cost.batch_setup_ns = 100.0;
+  cfg.cost.compute_ns_per_sample = 10.0;
+  serve::server srv{backend, enclave, cfg};
+  const serve::serving_report report = srv.run(make_requests(4, {10.0, 20.0, 30.0, 200.0}));
+  ASSERT_EQ(report.batches.size(), 3u);
+  EXPECT_EQ(report.enclave_ns, 0.0);
+  EXPECT_EQ(report.last_finish_ns, 360.0);
+  EXPECT_EQ(report.simulated_span_ns(), 350.0);
+  EXPECT_EQ(report.mean_batch_size(), 4.0 / 3.0);
+
+  const serve::serving_report empty = srv.run({});
+  EXPECT_EQ(empty.mean_batch_size(), 0.0);  // no batch: 0, not 0/0
+  EXPECT_EQ(empty.simulated_span_ns(), 0.0);
+}
+
 }  // namespace
 }  // namespace pelta

@@ -48,7 +48,7 @@ TEST_P(ShardingStrategies, ProducesAValidPartition) {
   const auto& ds = shard_dataset();
   sharding_config cfg;
   cfg.strategy = GetParam();
-  const auto shards = make_shards(ds, 5, cfg);
+  const auto shards = make_shards(ds, 5, cfg, 23);
   ASSERT_EQ(shards.size(), 5u);
   expect_valid_partition(shards, ds.train_size());
 }
@@ -57,11 +57,9 @@ TEST_P(ShardingStrategies, IsSeedDeterministic) {
   const auto& ds = shard_dataset();
   sharding_config cfg;
   cfg.strategy = GetParam();
-  cfg.seed = 99;
-  const auto first = make_shards(ds, 4, cfg);
-  EXPECT_EQ(first, make_shards(ds, 4, cfg));
-  cfg.seed = 100;
-  EXPECT_NE(first, make_shards(ds, 4, cfg));
+  const auto first = make_shards(ds, 4, cfg, 99);
+  EXPECT_EQ(first, make_shards(ds, 4, cfg, 99));
+  EXPECT_NE(first, make_shards(ds, 4, cfg, 100));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ShardingStrategies,
@@ -76,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, ShardingStrategies,
 TEST(Sharding, IidShardsAreBalancedAndDiverse) {
   const auto& ds = shard_dataset();
   sharding_config cfg;  // iid
-  const auto shards = make_shards(ds, 5, cfg);
+  const auto shards = make_shards(ds, 5, cfg, 23);
   const auto expected = ds.train_size() / 5;
   for (const auto& s : shards) {
     EXPECT_NEAR(static_cast<double>(s.size()), static_cast<double>(expected), 1.0);
@@ -89,7 +87,7 @@ TEST(Sharding, ByClassShardsSeeFewClasses) {
   const auto& ds = shard_dataset();
   sharding_config cfg;
   cfg.strategy = shard_strategy::by_class;
-  const auto shards = make_shards(ds, 5, cfg);
+  const auto shards = make_shards(ds, 5, cfg, 23);
   for (const auto& s : shards) {
     std::set<std::int64_t> labels;
     for (std::int64_t i : s) labels.insert(static_cast<std::int64_t>(ds.train_labels()[i]));
@@ -103,7 +101,7 @@ TEST(Sharding, DirichletSkewGrowsAsAlphaShrinks) {
     sharding_config cfg;
     cfg.strategy = shard_strategy::dirichlet;
     cfg.dirichlet_alpha = alpha;
-    return mean_entropy(ds, make_shards(ds, 5, cfg));
+    return mean_entropy(ds, make_shards(ds, 5, cfg, 23));
   };
   const double skewed = entropy_at(0.1f);
   const double mild = entropy_at(1.0f);
@@ -117,7 +115,7 @@ TEST(Sharding, DirichletRejectsNonPositiveAlpha) {
   sharding_config cfg;
   cfg.strategy = shard_strategy::dirichlet;
   cfg.dirichlet_alpha = 0.0f;
-  EXPECT_THROW(make_shards(shard_dataset(), 3, cfg), error);
+  EXPECT_THROW(make_shards(shard_dataset(), 3, cfg, 23), error);
 }
 
 TEST(Sharding, MoreClientsThanSamplesThrows) {
@@ -126,7 +124,7 @@ TEST(Sharding, MoreClientsThanSamplesThrows) {
   c.train_per_class = 2;
   c.test_per_class = 1;
   const data::dataset tiny{c};
-  EXPECT_THROW(make_shards(tiny, 10, sharding_config{}), error);
+  EXPECT_THROW(make_shards(tiny, 10, sharding_config{}, 23), error);
 }
 
 TEST(Sharding, EveryClientKeepsAtLeastOneSampleUnderExtremeSkew) {
@@ -135,8 +133,7 @@ TEST(Sharding, EveryClientKeepsAtLeastOneSampleUnderExtremeSkew) {
   cfg.strategy = shard_strategy::dirichlet;
   cfg.dirichlet_alpha = 0.01f;  // near-degenerate draws
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    cfg.seed = seed;
-    const auto shards = make_shards(ds, 8, cfg);
+    const auto shards = make_shards(ds, 8, cfg, seed);
     for (const auto& s : shards) EXPECT_FALSE(s.empty());
   }
 }
@@ -147,8 +144,7 @@ TEST(Sharding, TinyAlphaStillCoversEverySampleDisjointly) {
   cfg.strategy = shard_strategy::dirichlet;
   cfg.dirichlet_alpha = 0.01f;  // near-degenerate: most classes collapse to one client
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    cfg.seed = seed;
-    const auto shards = make_shards(ds, 8, cfg);
+    const auto shards = make_shards(ds, 8, cfg, seed);
     expect_valid_partition(shards, ds.train_size());
   }
 }
@@ -164,7 +160,7 @@ TEST(Sharding, MoreClientsThanClassesStillPartitions) {
     sharding_config cfg;
     cfg.strategy = strategy;
     cfg.dirichlet_alpha = 0.1f;
-    const auto shards = make_shards(ds, 7, cfg);  // 7 clients > 4 classes
+    const auto shards = make_shards(ds, 7, cfg, 23);  // 7 clients > 4 classes
     ASSERT_EQ(shards.size(), 7u) << shard_strategy_name(strategy);
     expect_valid_partition(shards, ds.train_size());
   }
@@ -183,8 +179,7 @@ TEST(Sharding, EmptyShardRedistributionPreservesThePartition) {
   cfg.strategy = shard_strategy::dirichlet;
   cfg.dirichlet_alpha = 0.01f;  // 2 classes over 10 clients: >= 8 empties pre-fix
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    cfg.seed = seed;
-    const auto shards = make_shards(tiny, 10, cfg);
+    const auto shards = make_shards(tiny, 10, cfg, seed);
     expect_valid_partition(shards, tiny.train_size());
     for (const auto& s : shards) EXPECT_FALSE(s.empty());
   }
@@ -316,7 +311,7 @@ TEST(Federation, RunsUnderNonIidShardingAndRobustAggregation) {
   fc.local.batch_size = 16;
   fc.sharding.strategy = shard_strategy::dirichlet;
   fc.sharding.dirichlet_alpha = 0.5f;
-  fc.aggregation.rule = aggregation_rule::coordinate_median;
+  fc.aggregation = aggregation_rule::coordinate_median;
 
   models::task_spec task;
   task.image_size = ds.config().image_size;
